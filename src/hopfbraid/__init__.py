@@ -44,7 +44,6 @@ from .linalg import (
     flip_operator,
     invert_matrix,
     kron,
-    matmul,
     regular_representation,
 )
 from .quantum import (
@@ -53,6 +52,7 @@ from .quantum import (
     apply_gate,
     bell_matrix,
     bell_state,
+    check_bell_actions,
     concurrence,
     kauffman_lomonaco_r,
     kl_entangling_test,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .groupalg import AlgebraElement, GroupSpec, TensorElement, universal_r
 from .linalg import (
+    EXACT,
     Matrix,
-    SingularMatrixError,
     flip_operator,
     flip_pair,
     invert_matrix,
@@ -42,20 +42,25 @@ class BraidedRMatrix:
             raise ValueError("matrix must be d^2 x d^2 for local dimension d")
 
 
-def braided_r(spec: GroupSpec) -> BraidedRMatrix:
-    """flip . (regular image of universal_r), the braided gate for a spec."""
+def braided_r(spec: GroupSpec, r: TensorElement | None = None) -> BraidedRMatrix:
+    """flip . (regular image of r), the braided gate for a spec; r defaults
+    to universal_r(spec)."""
+    if r is None:
+        r = universal_r(spec)
     rep = regular_representation(spec)
     d = spec.dimension
-    m = flip_operator(d) @ rep.on_tensor(universal_r(spec))
+    m = flip_operator(d) @ rep.on_tensor(r)
     return BraidedRMatrix(d, m, provenance=f"orders {spec.orders}")
 
 
-def check_braided_ybe(r: BraidedRMatrix) -> bool:
-    """Exact check of (R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')."""
-    eye = Matrix.identity(r.dimension)
-    a = kron(r.matrix, eye)
-    b = kron(eye, r.matrix)
-    return a @ b @ a == b @ a @ b
+def _placed(m, d: int, index: int, strands: int, ops):
+    """I^(x)(index-1) (x) m (x) I^(x)(strands-index-1) for a lifted d^2 x d^2 m."""
+    if index > 1:
+        m = ops.kron(ops.identity(d ** (index - 1)), m)
+    tail = strands - index - 1
+    if tail:
+        m = ops.kron(m, ops.identity(d ** tail))
+    return m
 
 
 def braid_generator(index: int, strands: int, r: BraidedRMatrix) -> Matrix:
@@ -64,31 +69,31 @@ def braid_generator(index: int, strands: int, r: BraidedRMatrix) -> Matrix:
         raise ValueError("need at least two strands")
     if not 1 <= index <= strands - 1:
         raise ValueError(f"generator index {index} out of range for {strands} strands")
-    d = r.dimension
-    m = r.matrix
-    if index > 1:
-        m = kron(Matrix.identity(d ** (index - 1)), m)
-    tail = strands - index - 1
-    if tail:
-        m = kron(m, Matrix.identity(d ** tail))
-    return m
+    return _placed(r.matrix, r.dimension, index, strands, EXACT)
 
 
-def check_braid_relations(strands: int, r: BraidedRMatrix) -> bool:
-    """All far commutations (|i-j| >= 2) and adjacent braid relations,
-    verified exactly on d^strands-dimensional matrices."""
+def check_braid_relations(strands: int, r: BraidedRMatrix, ops=EXACT) -> bool:
+    """All far commutations (|i-j| >= 2) and adjacent braid relations on
+    d^strands-dimensional matrices.  On three strands this is the braided
+    Yang-Baxter equation (R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')."""
     if strands < 2:
         raise ValueError("need at least two strands")
-    gens = [braid_generator(i, strands, r) for i in range(1, strands)]
+    m = ops.matrix(r.matrix)
+    gens = [_placed(m, r.dimension, i, strands, ops) for i in range(1, strands)]
     for i in range(len(gens)):
         for j in range(i + 2, len(gens)):
-            if gens[i] @ gens[j] != gens[j] @ gens[i]:
+            if not ops.equal(gens[i] @ gens[j], gens[j] @ gens[i]):
                 return False
     for i in range(len(gens) - 1):
         a, b = gens[i], gens[i + 1]
-        if a @ b @ a != b @ a @ b:
+        if not ops.equal(a @ b @ a, b @ a @ b):
             return False
     return True
+
+
+def check_braided_ybe(r: BraidedRMatrix, ops=EXACT) -> bool:
+    """The braided Yang-Baxter equation: the braid relations on three strands."""
+    return check_braid_relations(3, r, ops)
 
 
 @dataclass(frozen=True)
@@ -193,33 +198,33 @@ def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:
     return flip_pair(p, q) @ acc
 
 
-def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction) -> bool:
+def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction,
+                          ops=EXACT) -> bool:
     """True when c is invertible and intertwines the diagonal action:
     c . (rho_V x rho_W)(D(x)) = (rho_W x rho_V)(D(x)) . c on every basis x."""
-    try:
-        invert_matrix(c)
-    except SingularMatrixError:
+    cl = ops.matrix(c)
+    if not ops.invertible(cl):
         return False
     for exps in v.spec.basis():
-        rv = v.on_basis(exps)
-        rw = w.on_basis(exps)
-        if c @ kron(rv, rw) != kron(rw, rv) @ c:
+        rv = ops.matrix(v.on_basis(exps))
+        rw = ops.matrix(w.on_basis(exps))
+        if not ops.equal(cl @ ops.kron(rv, rw), ops.kron(rw, rv) @ cl):
             return False
     return True
 
 
 def check_hexagon(u: ModuleAction, v: ModuleAction, w: ModuleAction,
-                  r: TensorElement) -> bool:
-    """Exact check of the hexagon identity for the braiding maps of the
-    triple (U, V, W); for U = V = W it is the braid relation itself."""
+                  r: TensorElement, ops=EXACT) -> bool:
+    """The hexagon identity for the braiding maps of the triple (U, V, W);
+    for U = V = W it is the braid relation itself."""
     if not (u.spec == v.spec == w.spec):
         raise ValueError("module actions live over different specs")
-    c_uv = braiding_map(u, v, r)
-    c_uw = braiding_map(u, w, r)
-    c_vw = braiding_map(v, w, r)
-    iu = Matrix.identity(u.dimension)
-    iv = Matrix.identity(v.dimension)
-    iw = Matrix.identity(w.dimension)
-    lhs = kron(c_vw, iu) @ kron(iv, c_uw) @ kron(c_uv, iw)
-    rhs = kron(iw, c_uv) @ kron(c_uw, iv) @ kron(iu, c_vw)
-    return lhs == rhs
+    c_uv = ops.matrix(braiding_map(u, v, r))
+    c_uw = ops.matrix(braiding_map(u, w, r))
+    c_vw = ops.matrix(braiding_map(v, w, r))
+    iu = ops.identity(u.dimension)
+    iv = ops.identity(v.dimension)
+    iw = ops.identity(w.dimension)
+    lhs = ops.kron(c_vw, iu) @ ops.kron(iv, c_uw) @ ops.kron(c_uv, iw)
+    rhs = ops.kron(iw, c_uv) @ ops.kron(c_uw, iv) @ ops.kron(iu, c_vw)
+    return ops.equal(lhs, rhs)

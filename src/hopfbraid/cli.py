@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,6 @@ from .braidrep import (
     braided_r,
     braiding_map,
     check_braid_relations,
-    check_braided_ybe,
     check_hexagon,
     check_module_morphism,
     evaluate_braid_word,
@@ -47,6 +47,7 @@ from .groupalg import (
     universal_r_fused_phase,
 )
 from .linalg import (
+    EXACT,
     Matrix,
     conjugate_transpose,
     flip_operator,
@@ -60,10 +61,10 @@ from .quantum import (
     apply_gate,
     bell_matrix,
     bell_state,
+    check_bell_actions,
     concurrence,
     kauffman_lomonaco_r,
     schmidt_rank,
-    verify_bell_actions,
 )
 
 ANCHORS = {
@@ -165,21 +166,10 @@ def _build_r(spec: GroupSpec, form: str):
     return universal_r(spec) if form == "product" else universal_r_fused_phase(spec)
 
 
-def _braided_from(spec: GroupSpec, r) -> BraidedRMatrix:
-    rep = regular_representation(spec)
-    d = spec.dimension
-    return BraidedRMatrix(d, flip_operator(d) @ rep.on_tensor(r),
-                          provenance=f"orders {spec.orders}")
-
-
 def _timed(fn):
     t0 = time.perf_counter()
     ok = fn()
     return ok, time.perf_counter() - t0
-
-
-def _echo(args_namespace, argv) -> str:
-    return " ".join(argv)
 
 
 # -- gen-r -------------------------------------------------------------------
@@ -187,7 +177,7 @@ def _echo(args_namespace, argv) -> str:
 
 def cmd_gen_r(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(_echo(args, argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend, args.timings)
     r = _build_r(spec, args.form)
     rep = regular_representation(spec)
     d = spec.dimension
@@ -224,7 +214,7 @@ def cmd_check(args, argv) -> int:
     spec = _parse_orders(args.orders)
     d = spec.dimension
     recorded = args.form == "fused"
-    report = Report(_echo(args, argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend, args.timings)
     tol = args.tolerance
 
     if args.which == "bell-actions" and d != 2:
@@ -253,14 +243,14 @@ def cmd_check(args, argv) -> int:
     def get_braided():
         nonlocal braided
         if braided is None:
-            braided = external if external is not None else _braided_from(spec, r)
+            braided = external if external is not None else braided_r(spec, r)
         return braided
 
     use_float = args.backend == "float"
+    ops = floatback.NumpyOps(tol) if use_float else EXACT
 
-    def run(name, anchor, exact_fn, float_fn, rec):
-        fn = float_fn if use_float and float_fn is not None else exact_fn
-        ok, dt = _timed(fn)
+    def run(name, anchor, rec, check, *check_args):
+        ok, dt = _timed(lambda: check(*check_args, ops))
         detail = f"float backend, tolerance {tol:g}" if use_float else ""
         if rec:
             status = "recorded"
@@ -272,63 +262,31 @@ def cmd_check(args, argv) -> int:
 
     for which in selected:
         if which == "hopf":
-            run("hopf-axioms", ANCHORS["hopf-axioms"],
-                lambda: check_hopf_axioms(spec),
-                lambda: floatback.check_hopf_axioms_float(spec, tol),
-                False)
+            run("hopf-axioms", ANCHORS["hopf-axioms"], False, check_hopf_axioms, spec)
         elif which == "quasitriangular":
-            run("quasi-cocommutativity", ANCHORS["quasi-cocommutativity"],
-                lambda: check_quasi_cocommutative(spec, r),
-                lambda: floatback.check_quasi_cocommutative_float(spec, r, tol),
-                recorded)
+            run("quasi-cocommutativity", ANCHORS["quasi-cocommutativity"], recorded,
+                check_quasi_cocommutative, spec, r)
             run("quasitriangular-coproducts", ANCHORS["quasitriangular-coproducts"],
-                lambda: check_quasitriangular(spec, r),
-                lambda: floatback.check_quasitriangular_float(spec, r, tol),
-                recorded)
+                recorded, check_quasitriangular, spec, r)
         elif which == "ybe":
-            run("algebraic-ybe", ANCHORS["algebraic-ybe"],
-                lambda: check_algebraic_ybe(spec, r),
-                lambda: floatback.check_algebraic_ybe_float(spec, r, tol),
-                recorded)
+            run("algebraic-ybe", ANCHORS["algebraic-ybe"], recorded,
+                check_algebraic_ybe, spec, r)
         elif which == "braided-ybe":
-            gate = get_braided()
-            run("braided-ybe", ANCHORS["braided-ybe"],
-                lambda: check_braided_ybe(gate),
-                lambda: floatback.check_braided_ybe_float(
-                    floatback.matrix_complex(gate.matrix), gate.dimension, tol),
-                recorded)
+            run("braided-ybe", ANCHORS["braided-ybe"], recorded,
+                check_braid_relations, 3, get_braided())
         elif which == "braid":
-            gate = get_braided()
             strands = args.strands
             run(f"braid-relations-{strands}",
-                f"{ANCHORS['braid-relations']} on {strands} strands",
-                lambda: check_braid_relations(strands, gate),
-                lambda: floatback.check_braid_relations_float(
-                    strands, floatback.matrix_complex(gate.matrix), gate.dimension, tol),
-                recorded)
+                f"{ANCHORS['braid-relations']} on {strands} strands", recorded,
+                check_braid_relations, strands, get_braided())
         elif which == "hexagon":
             reg = ModuleAction.regular(spec)
-            cmap = braiding_map(reg, reg, r)
-            run("module-morphism", ANCHORS["module-morphism"],
-                lambda: check_module_morphism(cmap, reg, reg),
-                lambda: floatback.check_module_morphism_float(
-                    floatback.matrix_complex(cmap), reg, reg, tol),
-                recorded)
-            run("hexagon", ANCHORS["hexagon"],
-                lambda: check_hexagon(reg, reg, reg, r),
-                lambda: floatback.check_hexagon_float(reg, reg, reg, r, tol),
-                recorded)
+            run("module-morphism", ANCHORS["module-morphism"], recorded,
+                check_module_morphism, braiding_map(reg, reg, r), reg, reg)
+            run("hexagon", ANCHORS["hexagon"], recorded, check_hexagon, reg, reg, reg, r)
         elif which == "bell-actions":
-            gate = get_braided()
-
-            def exact_bell():
-                return all(c.ok for c in verify_bell_actions(gate))
-
-            run("bell-actions", ANCHORS["bell-actions"],
-                exact_bell,
-                lambda: floatback.check_bell_actions_float(
-                    floatback.matrix_complex(gate.matrix), tol),
-                recorded)
+            run("bell-actions", ANCHORS["bell-actions"], recorded,
+                check_bell_actions, get_braided())
 
     return report.emit(args.json)
 
@@ -338,7 +296,7 @@ def cmd_check(args, argv) -> int:
 
 def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(_echo(args, argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend, args.timings)
     word = BraidWord(args.strands, _parse_word(args.word))
     gate = braided_r(spec)
     matrix = evaluate_braid_word(word, gate)
@@ -386,7 +344,7 @@ def _parse_state(text: str, d: int, n: int) -> StateVector:
 
 
 def cmd_compare_gates(args, argv) -> int:
-    report = Report(_echo(args, argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend, args.timings)
     one = 1
     gates = [
         ("braided-r(2)", braided_r(GroupSpec((2,))).matrix),
@@ -397,9 +355,9 @@ def cmd_compare_gates(args, argv) -> int:
     rows = []
     for name, matrix in gates:
         wrapped = BraidedRMatrix(2, matrix, provenance=name)
-        ybe = check_braided_ybe(wrapped)
+        ybe = check_braid_relations(3, wrapped)
         unitary = matrix @ conjugate_transpose(matrix) == Matrix.identity(4)
-        bell_ok = all(c.ok for c in verify_bell_actions(matrix))
+        bell_ok = check_bell_actions(matrix)
         probe = StateVector(2, 2, [1, 1, 1, 1])
         value = concurrence(apply_gate(matrix, probe))
         rows.append((name, ybe, unitary, bell_ok, value))
@@ -489,12 +447,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_WORD = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _attach_word_values(argv: list[str]) -> list[str]:
+    """Glue a --word value that starts with '-' (e.g. -1,2) to its flag,
+    since argparse would otherwise read the value as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--word" and arg.startswith("-") and _WORD.fullmatch(arg):
+            out[-1] = f"--word={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_word_values(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,28 +1,19 @@
 """Floating-point cross-check backend.
 
-Exact objects are pushed through the regular representation into numpy
-complex matrices, after which each identity is re-verified with ordinary
-floating arithmetic and an absolute entrywise tolerance (1e-9 by default,
+``NumpyOps`` is the numpy side of the backend protocol that every checker
+is written against (see groupalg.ExactAlgebraOps): exact objects are
+pushed through the regular representation into numpy complex matrices,
+every product and sum of lifted objects is taken in floating arithmetic,
+and equality is an absolute entrywise tolerance (1e-9 by default,
 matrices stay small).  This is an independent numerical sanity path next
-to the exact checkers, never a replacement for them.
+to the exact backend, never a replacement for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .braidrep import ModuleAction, braiding_map
-from .groupalg import (
-    AlgebraElement,
-    GroupSpec,
-    TensorElement,
-    antipode,
-    coproduct,
-    coproduct_on_leg,
-    counit,
-    leg_embedding,
-    opposite_coproduct,
-)
+from .groupalg import GroupSpec, TensorElement
 from .linalg import Matrix, regular_representation
 
 DEFAULT_TOL = 1e-9
@@ -52,145 +43,33 @@ def tensor_complex(spec: GroupSpec, t: TensorElement, mats=None) -> np.ndarray:
     return out
 
 
-def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    return bool(np.max(np.abs(a - b)) <= tol) if a.shape == b.shape else False
+class NumpyOps:
+    """The numpy backend: lifts into complex arrays, compares within tol."""
 
+    def __init__(self, tol: float = DEFAULT_TOL):
+        self.tol = tol
+        self._mats: dict = {}
 
-def check_quasi_cocommutative_float(spec, r, tol=DEFAULT_TOL) -> bool:
-    mats = _basis_mats(spec)
-    rm = tensor_complex(spec, r, mats)
-    for exps in spec.basis():
-        x = AlgebraElement.basis(spec, exps)
-        lhs = tensor_complex(spec, opposite_coproduct(x), mats) @ rm
-        rhs = rm @ tensor_complex(spec, coproduct(x), mats)
-        if not _close(lhs, rhs, tol):
-            return False
-    return True
+    def tensor(self, t: TensorElement) -> np.ndarray:
+        mats = self._mats.get(t.spec)
+        if mats is None:
+            mats = self._mats[t.spec] = _basis_mats(t.spec)
+        return tensor_complex(t.spec, t, mats)
 
+    def matrix(self, m: Matrix) -> np.ndarray:
+        return matrix_complex(m)
 
-def check_quasitriangular_float(spec, r, tol=DEFAULT_TOL) -> bool:
-    mats = _basis_mats(spec)
-    r12 = tensor_complex(spec, leg_embedding(r, 3, (0, 1)), mats)
-    r13 = tensor_complex(spec, leg_embedding(r, 3, (0, 2)), mats)
-    r23 = tensor_complex(spec, leg_embedding(r, 3, (1, 2)), mats)
-    lhs1 = tensor_complex(spec, coproduct_on_leg(r, 0), mats)
-    lhs2 = tensor_complex(spec, coproduct_on_leg(r, 1), mats)
-    return _close(lhs1, r13 @ r23, tol) and _close(lhs2, r13 @ r12, tol)
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
 
+    def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.kron(a, b)
 
-def check_algebraic_ybe_float(spec, r, tol=DEFAULT_TOL) -> bool:
-    mats = _basis_mats(spec)
-    r12 = tensor_complex(spec, leg_embedding(r, 3, (0, 1)), mats)
-    r13 = tensor_complex(spec, leg_embedding(r, 3, (0, 2)), mats)
-    r23 = tensor_complex(spec, leg_embedding(r, 3, (1, 2)), mats)
-    return _close(r12 @ r13 @ r23, r23 @ r13 @ r12, tol)
+    def identity(self, n: int) -> np.ndarray:
+        return np.eye(n, dtype=complex)
 
+    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= self.tol)
 
-def check_hopf_axioms_float(spec, tol=DEFAULT_TOL) -> bool:
-    mats = _basis_mats(spec)
-    d = spec.dimension
-    eye = np.eye(d, dtype=complex)
-    for exps in spec.basis():
-        x = AlgebraElement.basis(spec, exps)
-        dx = coproduct(x)
-        lhs = tensor_complex(spec, coproduct_on_leg(dx, 0), mats)
-        rhs = tensor_complex(spec, coproduct_on_leg(dx, 1), mats)
-        if not _close(lhs, rhs, tol):
-            return False
-        eps_l = np.zeros((d, d), dtype=complex)
-        eps_r = np.zeros((d, d), dtype=complex)
-        for (u, v), c in dx.terms.items():
-            eps_l += c.to_complex() * mats[v]
-            eps_r += c.to_complex() * mats[u]
-        if not (_close(eps_l, mats[exps], tol) and _close(eps_r, mats[exps], tol)):
-            return False
-        acc_l = np.zeros((d, d), dtype=complex)
-        acc_r = np.zeros((d, d), dtype=complex)
-        for (u, v), c in dx.terms.items():
-            su = tensor_complex(spec, _one_leg(antipode(AlgebraElement.basis(spec, u))), mats)
-            sv = tensor_complex(spec, _one_leg(antipode(AlgebraElement.basis(spec, v))), mats)
-            acc_l += c.to_complex() * (su @ mats[v])
-            acc_r += c.to_complex() * (mats[u] @ sv)
-        target = counit(x).to_complex() * eye
-        if not (_close(acc_l, target, tol) and _close(acc_r, target, tol)):
-            return False
-    return True
-
-
-def _one_leg(x: AlgebraElement) -> TensorElement:
-    return TensorElement(x.spec, 1, {(k,): c for k, c in x.terms.items()})
-
-
-def check_braided_ybe_float(mat: np.ndarray, d: int, tol=DEFAULT_TOL) -> bool:
-    eye = np.eye(d, dtype=complex)
-    a = np.kron(mat, eye)
-    b = np.kron(eye, mat)
-    return _close(a @ b @ a, b @ a @ b, tol)
-
-
-def check_braid_relations_float(strands: int, mat: np.ndarray, d: int,
-                                tol=DEFAULT_TOL) -> bool:
-    eye = np.eye(d, dtype=complex)
-
-    def gen(i):
-        m = mat
-        for _ in range(i - 1):
-            m = np.kron(eye, m)
-        for _ in range(strands - i - 1):
-            m = np.kron(m, eye)
-        return m
-
-    gens = [gen(i) for i in range(1, strands)]
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            if not _close(gens[i] @ gens[j], gens[j] @ gens[i], tol):
-                return False
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if not _close(a @ b @ a, b @ a @ b, tol):
-            return False
-    return True
-
-
-def check_hexagon_float(u: ModuleAction, v: ModuleAction, w: ModuleAction,
-                        r: TensorElement, tol=DEFAULT_TOL) -> bool:
-    c_uv = matrix_complex(braiding_map(u, v, r))
-    c_uw = matrix_complex(braiding_map(u, w, r))
-    c_vw = matrix_complex(braiding_map(v, w, r))
-    iu = np.eye(u.dimension, dtype=complex)
-    iv = np.eye(v.dimension, dtype=complex)
-    iw = np.eye(w.dimension, dtype=complex)
-    lhs = np.kron(c_vw, iu) @ np.kron(iv, c_uw) @ np.kron(c_uv, iw)
-    rhs = np.kron(iw, c_uv) @ np.kron(c_uw, iv) @ np.kron(iu, c_vw)
-    return _close(lhs, rhs, tol)
-
-
-def check_module_morphism_float(cmat: np.ndarray, u: ModuleAction,
-                                v: ModuleAction, tol=DEFAULT_TOL) -> bool:
-    if abs(np.linalg.det(cmat)) <= tol:
-        return False
-    for exps in u.spec.basis():
-        ru = matrix_complex(u.on_basis(exps))
-        rv = matrix_complex(v.on_basis(exps))
-        if not _close(cmat @ np.kron(ru, rv), np.kron(rv, ru) @ cmat, tol):
-            return False
-    return True
-
-
-_BELL = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
-}
-
-
-def check_bell_actions_float(mat: np.ndarray, tol=DEFAULT_TOL) -> bool:
-    pairs = (("phi+", _BELL["psi+"]), ("psi+", _BELL["phi+"]),
-             ("phi-", _BELL["phi-"]), ("psi-", -_BELL["psi-"]))
-    return all(np.max(np.abs(mat @ _BELL[src] - img)) <= tol for src, img in pairs)
-
-
-def check_unitary_float(mat: np.ndarray, tol=DEFAULT_TOL) -> bool:
-    eye = np.eye(mat.shape[0], dtype=complex)
-    return _close(mat @ mat.conj().T, eye, tol)
+    def invertible(self, m: np.ndarray) -> bool:
+        return bool(abs(np.linalg.det(m)) > self.tol)

@@ -14,8 +14,9 @@ for two or more nontrivial factors (any zero a_k b_k kills the whole fused
 exponent), so it is kept only for side-by-side comparison and the command
 line reports its checks as "recorded" rather than pass/fail.
 
-The check_* functions verify the quasitriangularity identities by exact
-expansion over the basis; nothing is approximated.
+The check_* functions verify the quasitriangularity identities over a
+backend: by default by exact expansion over the basis, where nothing is
+approximated.
 """
 
 from __future__ import annotations
@@ -336,6 +337,21 @@ def as_single_leg(x: AlgebraElement) -> TensorElement:
 # -- distinguished invertible elements ----------------------------------
 
 
+def _phase_element(spec: GroupSpec, order: int, exponent) -> TensorElement:
+    """The two-leg element (1/dim) * sum_(a,b) zeta_order^exponent(a, b) g^a (x) g^b."""
+    norm = Fraction(1, spec.dimension)
+    terms = {}
+    for a in spec.basis():
+        for b in spec.basis():
+            terms[(a, b)] = root_of_unity(order, exponent(a, b) % order) * norm
+    return TensorElement(spec, 2, terms)
+
+
+def _factor_phase(spec: GroupSpec, a, b) -> int:
+    big = spec.field_order
+    return sum(ak * bk * (big // n) for ak, bk, n in zip(a, b, spec.orders))
+
+
 def universal_r(spec: GroupSpec) -> TensorElement:
     """The two-leg element whose coefficient at (g^a, g^b) is the product of
     one phase per cyclic factor:
@@ -345,27 +361,13 @@ def universal_r(spec: GroupSpec) -> TensorElement:
     assembled in the cyclotomic field of order lcm(n_1, ..., n_k).  This is
     the element that passes every quasitriangularity check below.
     """
-    big = spec.field_order
-    norm = Fraction(1, spec.dimension)
-    terms = {}
-    for a in spec.basis():
-        for b in spec.basis():
-            e = -sum(ak * bk * (big // n) for ak, bk, n in zip(a, b, spec.orders)) % big
-            terms[(a, b)] = root_of_unity(big, e) * norm
-    return TensorElement(spec, 2, terms)
+    return _phase_element(spec, spec.field_order, lambda a, b: -_factor_phase(spec, a, b))
 
 
 def universal_r_inverse(spec: GroupSpec) -> TensorElement:
     """Companion element with conjugated phases; the exact two-sided inverse
     of universal_r in the tensor-square algebra."""
-    big = spec.field_order
-    norm = Fraction(1, spec.dimension)
-    terms = {}
-    for a in spec.basis():
-        for b in spec.basis():
-            e = sum(ak * bk * (big // n) for ak, bk, n in zip(a, b, spec.orders)) % big
-            terms[(a, b)] = root_of_unity(big, e) * norm
-    return TensorElement(spec, 2, terms)
+    return _phase_element(spec, spec.field_order, lambda a, b: _factor_phase(spec, a, b))
 
 
 def universal_r_fused_phase(spec: GroupSpec) -> TensorElement:
@@ -378,17 +380,40 @@ def universal_r_fused_phase(spec: GroupSpec) -> TensorElement:
     passing the quasitriangularity checks; it exists so the discrepancy can
     be demonstrated and recorded.
     """
-    big = spec.dimension
-    norm = Fraction(1, big)
-    terms = {}
-    for a in spec.basis():
-        for b in spec.basis():
-            e = -prod(ak * bk for ak, bk in zip(a, b)) % big
-            terms[(a, b)] = root_of_unity(big, e) * norm
-    return TensorElement(spec, 2, terms)
+    return _phase_element(spec, spec.dimension,
+                          lambda a, b: -prod(ak * bk for ak, bk in zip(a, b)))
 
 
-# -- exact identity checkers ---------------------------------------------
+# -- identity checkers over a backend ------------------------------------
+
+
+class ExactAlgebraOps:
+    """The tensor half of the backend protocol, done exactly.
+
+    A backend ("ops") lifts exact objects into its own type and decides
+    equality there; every identity below is written once against it:
+
+    * ``tensor(t)`` lifts a TensorElement, ``mul(a, b)`` multiplies two
+      lifted tensors, ``equal(a, b)`` compares two lifted objects;
+    * ``matrix(m)``, ``kron(a, b)``, ``identity(n)`` and ``invertible(m)``
+      do the same for matrices (see linalg.ExactOps).
+
+    ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
+    the identity, products are taken in the tensor-power algebra and
+    equality is exact; floatback.NumpyOps lifts into numpy instead.
+    """
+
+    def tensor(self, t: TensorElement) -> TensorElement:
+        return t
+
+    def mul(self, a: TensorElement, b: TensorElement) -> TensorElement:
+        return a * b
+
+    def equal(self, a, b) -> bool:
+        return a == b
+
+
+EXACT_ALGEBRA = ExactAlgebraOps()
 
 
 def _require_two_legs(spec: GroupSpec, r: TensorElement):
@@ -396,59 +421,67 @@ def _require_two_legs(spec: GroupSpec, r: TensorElement):
         raise ValueError("expected a two-leg tensor element over the given spec")
 
 
-def check_quasi_cocommutative(spec: GroupSpec, r: TensorElement) -> bool:
-    """Exact check that Dop(x) * R equals R * D(x) for every basis x,
-    with the products taken in the tensor-square algebra."""
+def _three_leg_embeddings(r: TensorElement, ops):
+    """Lifted R12, R13, R23."""
+    return tuple(ops.tensor(leg_embedding(r, 3, pos)) for pos in ((0, 1), (0, 2), (1, 2)))
+
+
+def check_quasi_cocommutative(spec: GroupSpec, r: TensorElement,
+                              ops=EXACT_ALGEBRA) -> bool:
+    """Check that Dop(x) * R equals R * D(x) for every basis x, with the
+    products taken in the tensor-square algebra."""
     _require_two_legs(spec, r)
+    rl = ops.tensor(r)
     for exps in spec.basis():
         x = AlgebraElement.basis(spec, exps)
-        if opposite_coproduct(x) * r != r * coproduct(x):
+        if not ops.equal(ops.mul(ops.tensor(opposite_coproduct(x)), rl),
+                         ops.mul(rl, ops.tensor(coproduct(x)))):
             return False
     return True
 
 
-def check_quasitriangular(spec: GroupSpec, r: TensorElement) -> bool:
-    """Exact check of the two coproduct compatibility identities,
+def check_quasitriangular(spec: GroupSpec, r: TensorElement, ops=EXACT_ALGEBRA) -> bool:
+    """Check the two coproduct compatibility identities,
     (D x id)(R) = R13 R23 and (id x D)(R) = R13 R12, in three legs."""
     _require_two_legs(spec, r)
-    r12 = leg_embedding(r, 3, (0, 1))
-    r13 = leg_embedding(r, 3, (0, 2))
-    r23 = leg_embedding(r, 3, (1, 2))
-    if coproduct_on_leg(r, 0) != r13 * r23:
-        return False
-    return coproduct_on_leg(r, 1) == r13 * r12
+    r12, r13, r23 = _three_leg_embeddings(r, ops)
+    return (ops.equal(ops.tensor(coproduct_on_leg(r, 0)), ops.mul(r13, r23))
+            and ops.equal(ops.tensor(coproduct_on_leg(r, 1)), ops.mul(r13, r12)))
 
 
-def check_algebraic_ybe(spec: GroupSpec, r: TensorElement) -> bool:
-    """Exact check that R12 R13 R23 = R23 R13 R12 in the three-fold power."""
+def check_algebraic_ybe(spec: GroupSpec, r: TensorElement, ops=EXACT_ALGEBRA) -> bool:
+    """Check that R12 R13 R23 = R23 R13 R12 in the three-fold power."""
     _require_two_legs(spec, r)
-    r12 = leg_embedding(r, 3, (0, 1))
-    r13 = leg_embedding(r, 3, (0, 2))
-    r23 = leg_embedding(r, 3, (1, 2))
-    return r12 * r13 * r23 == r23 * r13 * r12
+    r12, r13, r23 = _three_leg_embeddings(r, ops)
+    return ops.equal(ops.mul(ops.mul(r12, r13), r23), ops.mul(ops.mul(r23, r13), r12))
 
 
-def check_hopf_axioms(spec: GroupSpec) -> bool:
+def check_hopf_axioms(spec: GroupSpec, ops=EXACT_ALGEBRA) -> bool:
     """Coassociativity, the counit laws, and the antipode law, verified on
-    every basis element by exact expansion."""
+    every basis element."""
+
+    def leg(x: AlgebraElement):
+        return ops.tensor(as_single_leg(x))
+
     unit = AlgebraElement.unit(spec)
     for exps in spec.basis():
         x = AlgebraElement.basis(spec, exps)
         d = coproduct(x)
-        if coproduct_on_leg(d, 0) != coproduct_on_leg(d, 1):
+        if not ops.equal(ops.tensor(coproduct_on_leg(d, 0)),
+                         ops.tensor(coproduct_on_leg(d, 1))):
             return False
-        one_leg = as_single_leg(x)
-        if counit_on_leg(d, 0) != one_leg or counit_on_leg(d, 1) != one_leg:
+        one_leg = leg(x)
+        if not (ops.equal(ops.tensor(counit_on_leg(d, 0)), one_leg)
+                and ops.equal(ops.tensor(counit_on_leg(d, 1)), one_leg)):
             return False
-        left = AlgebraElement.zero(spec)
-        right = AlgebraElement.zero(spec)
+        left = right = leg(AlgebraElement.zero(spec))
         for (u, v), c in d.terms.items():
-            ue = AlgebraElement.basis(spec, u)
+            ue = AlgebraElement.basis(spec, u, c)
             ve = AlgebraElement.basis(spec, v)
-            left = left + (antipode(ue) * ve) * c
-            right = right + (ue * antipode(ve)) * c
-        target = unit * counit(x)
-        if left != target or right != target:
+            left = left + ops.mul(leg(antipode(ue)), leg(ve))
+            right = right + ops.mul(leg(ue), leg(antipode(ve)))
+        target = leg(unit * counit(x))
+        if not (ops.equal(left, target) and ops.equal(right, target)):
             return False
     return True
 

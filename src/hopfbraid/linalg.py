@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groupalg import AlgebraElement, GroupSpec, TensorElement
+from .groupalg import AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement
 from .scalar import CyclotomicNumber, as_scalar, rational
 
 
@@ -130,10 +130,6 @@ class Matrix:
             for i in range(self.rows)
         )
         return f"Matrix {self.rows}x{self.cols}\n{body}"
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -320,6 +316,29 @@ def regular_representation(spec: GroupSpec) -> RegularRepresentation:
     return RegularRepresentation(spec)
 
 
+class ExactOps(ExactAlgebraOps):
+    """The exact backend: ExactAlgebraOps plus dense exact matrices."""
+
+    def matrix(self, m: Matrix) -> Matrix:
+        return m
+
+    def kron(self, a: Matrix, b: Matrix) -> Matrix:
+        return kron(a, b)
+
+    def identity(self, n: int) -> Matrix:
+        return Matrix.identity(n)
+
+    def invertible(self, m: Matrix) -> bool:
+        try:
+            invert_matrix(m)
+        except SingularMatrixError:
+            return False
+        return True
+
+
+EXACT = ExactOps()
+
+
 # -- JSON interchange ------------------------------------------------------
 
 
@@ -332,8 +351,13 @@ def matrix_to_json(m: Matrix, float_entries: bool = False) -> dict:
 
 
 def matrix_from_json(data: dict) -> Matrix:
-    entries = data["entries"]
+    """Inverse of matrix_to_json for exact entries; raises ValueError on
+    malformed input."""
+    try:
+        rows, cols, entries = int(data["rows"]), int(data["cols"]), list(data["entries"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("matrix JSON needs integer 'rows' and 'cols' and an "
+                         "'entries' list") from None
     if entries and not isinstance(entries[0], dict):
         raise ValueError("float-backend matrix exports cannot be re-imported exactly")
-    return Matrix(int(data["rows"]), int(data["cols"]),
-                  [CyclotomicNumber.from_json(e) for e in entries])
+    return Matrix(rows, cols, [CyclotomicNumber.from_json(e) for e in entries])

@@ -15,15 +15,13 @@ from fractions import Fraction
 from itertools import product
 
 from .braidrep import BraidedRMatrix
-from .linalg import Matrix, exact_rank
+from .linalg import EXACT, Matrix, exact_rank
 from .scalar import CyclotomicNumber, as_scalar, rational, root_of_unity
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
 # (zeta_8 + zeta_8^7) / 2 == sqrt(2)/2 exactly
 INV_SQRT2 = (root_of_unity(8, 1) + root_of_unity(8, 7)) / 2
-
-ENTANGLEMENT_THRESHOLD = 1e-9
 
 
 class StateVector:
@@ -103,6 +101,16 @@ def bell_state(kind: str) -> StateVector:
     return StateVector(2, 2, list(table[kind]))
 
 
+# the Bell-basis action of the d=2 braided gate, with exact signs:
+# (source state, label of the image, expected image)
+BELL_ACTIONS = (
+    ("phi+", "psi+", bell_state("psi+")),
+    ("psi+", "phi+", bell_state("phi+")),
+    ("phi-", "phi-", bell_state("phi-")),
+    ("psi-", "-psi-", -bell_state("psi-")),
+)
+
+
 def apply_gate(gate: Matrix, state: StateVector, targets=None) -> StateVector:
     """Apply a d^k x d^k gate to k qudit slots, identity elsewhere.
 
@@ -153,31 +161,40 @@ class BellActionCheck:
     image: StateVector
 
 
+def _two_qubit_matrix(gate) -> Matrix:
+    """A BraidedRMatrix of local dimension 2 or a bare 4x4 matrix, as a matrix."""
+    m = gate.matrix if isinstance(gate, BraidedRMatrix) else gate
+    if isinstance(gate, BraidedRMatrix) and gate.dimension != 2:
+        raise ValueError("Bell actions are defined for local dimension 2")
+    if m.rows != 4 or m.cols != 4:
+        raise ValueError("a 4x4 two-qubit gate is required")
+    return m
+
+
 def verify_bell_actions(gate) -> list[BellActionCheck]:
-    """Check the four expected Bell-basis mappings of a two-qubit gate,
-    with exact amplitudes including signs:
+    """Check the four expected Bell-basis mappings of BELL_ACTIONS on a
+    two-qubit gate, with exact amplitudes including signs:
 
         phi+ -> psi+,  psi+ -> phi+,  phi- -> phi-,  psi- -> -psi-.
 
     Accepts a BraidedRMatrix of local dimension 2 or a bare 4x4 matrix;
     reports per-state pass/fail together with the achieved image.
     """
-    m = gate.matrix if isinstance(gate, BraidedRMatrix) else gate
-    if isinstance(gate, BraidedRMatrix) and gate.dimension != 2:
-        raise ValueError("Bell actions are defined for local dimension 2")
-    if m.rows != 4 or m.cols != 4:
-        raise ValueError("a 4x4 two-qubit gate is required")
-    expectations = (
-        ("phi+", "psi+", bell_state("psi+")),
-        ("psi+", "phi+", bell_state("phi+")),
-        ("phi-", "phi-", bell_state("phi-")),
-        ("psi-", "-psi-", -bell_state("psi-")),
-    )
+    m = _two_qubit_matrix(gate)
     results = []
-    for source, label, target in expectations:
+    for source, label, target in BELL_ACTIONS:
         image = apply_gate(m, bell_state(source))
         results.append(BellActionCheck(source, label, image == target, image))
     return results
+
+
+def check_bell_actions(gate, ops=EXACT) -> bool:
+    """True when the gate maps every Bell state as BELL_ACTIONS expects,
+    decided over the given backend."""
+    m = ops.matrix(_two_qubit_matrix(gate))
+    return all(ops.equal(m @ ops.matrix(Matrix(4, 1, bell_state(source).amps)),
+                         ops.matrix(Matrix(4, 1, target.amps)))
+               for source, _, target in BELL_ACTIONS)
 
 
 def concurrence(state: StateVector) -> float:
@@ -223,11 +240,11 @@ def kauffman_lomonaco_r(a, b, c, d) -> Matrix:
         [[a, 0, 0, 0], [0, 0, d, 0], [0, c, 0, 0], [0, 0, 0, b]]
 
     for exact unit-modulus scalars (roots of unity and rational combinations
-    thereof are accepted natively; modulus is verified numerically within
-    1e-9)."""
+    thereof are accepted natively; unit modulus is decided exactly as
+    v * conj(v) == 1)."""
     vals = [as_scalar(x) for x in (a, b, c, d)]
     for v in vals:
-        if abs(abs(v.to_complex()) - 1.0) > 1e-9:
+        if v * v.conjugate() != 1:
             raise ValueError("all four scalars must lie on the complex unit circle")
     a, b, c, d = vals
     z = rational(0)
@@ -241,13 +258,14 @@ def kauffman_lomonaco_r(a, b, c, d) -> Matrix:
 
 def kl_entangling_test(a, b, c, d) -> tuple[bool, float]:
     """Apply the family gate to (|0> + |1>) (x) (|0> + |1>) and test the
-    image for entanglement; returns (entangled, concurrence).  The image is
-    entangled exactly when a*b differs from c*d."""
+    image for entanglement; returns (entangled, concurrence).  Entanglement
+    is decided exactly as Schmidt rank 2, which holds exactly when a*b
+    differs from c*d; the concurrence is reported as a number only."""
     gate = kauffman_lomonaco_r(a, b, c, d)
     one = rational(1)
     probe = StateVector(2, 2, [one, one, one, one])
-    value = concurrence(apply_gate(gate, probe))
-    return value > ENTANGLEMENT_THRESHOLD, value
+    image = apply_gate(gate, probe)
+    return schmidt_rank(image) == 2, concurrence(image)
 
 
 def bell_matrix() -> Matrix:

@@ -15,6 +15,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import cmath
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -70,20 +71,29 @@ def _degree(order: int) -> int:
 _POWER_TABLES: dict[int, list[tuple[int, ...]]] = {}
 
 
+_POWER_LOCK = threading.Lock()
+
+
 def _power_residues(order: int, top: int) -> list[tuple[int, ...]]:
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    table = _POWER_TABLES.setdefault(order, [])
-    if not table:
-        for k in range(deg):
-            row = [0] * deg
-            row[k] = 1
+    # rows are only ever appended, each in its final form, so a table that
+    # is already long enough can be read without the lock
+    table = _POWER_TABLES.get(order)
+    if table is not None and len(table) > top:
+        return table
+    with _POWER_LOCK:
+        phi = cyclotomic_polynomial(order)
+        deg = len(phi) - 1
+        table = _POWER_TABLES.setdefault(order, [])
+        if not table:
+            for k in range(deg):
+                row = [0] * deg
+                row[k] = 1
+                table.append(tuple(row))
+        while len(table) <= top:
+            prev = table[-1]
+            lead = prev[deg - 1]
+            row = [-lead * phi[0]] + [prev[i - 1] - lead * phi[i] for i in range(1, deg)]
             table.append(tuple(row))
-    while len(table) <= top:
-        prev = table[-1]
-        lead = prev[deg - 1]
-        row = [-lead * phi[0]] + [prev[i - 1] - lead * phi[i] for i in range(1, deg)]
-        table.append(tuple(row))
     return table
 
 
@@ -317,8 +327,15 @@ class CyclotomicNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicNumber":
-        coeffs = tuple(Fraction(int(n), int(d)) for n, d in data["coeffs"])
-        return cls(int(data["order"]), coeffs)
+        """Inverse of to_json; raises ValueError on malformed input."""
+        try:
+            order = int(data["order"])
+            coeffs = tuple(Fraction(int(n), int(d)) for n, d in data["coeffs"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("cyclotomic number JSON needs an integer 'order' and "
+                             "'coeffs' as [numerator, denominator] pairs with "
+                             "nonzero denominators") from None
+        return cls(order, coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -216,3 +216,27 @@ def test_timings_flag_adds_seconds(capsys):
     assert code == 0
     report = json.loads(out)
     assert "seconds" in report["checks"][0]
+
+
+@pytest.mark.parametrize("word", [["--word", "-1,2"], ["--word=-1,2"]])
+def test_braid_word_starting_with_inverse_letter(capsys, word):
+    code, out, _ = run(capsys, "braid", "--orders", "2", "--strands", "3", *word)
+    assert code == 0
+    assert "word [-1, 2] on 3 strands" in out
+
+
+def _write_r_matrix(tmp_path, payload):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {"rows": 1, "cols": 1},
+    {"rows": 1, "cols": 1, "entries": [{"order": 1, "coeffs": [[1, 0]]}]},
+])
+def test_malformed_r_matrix_exits_two_with_one_line_error(tmp_path, capsys, payload):
+    code, _, err = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",
+                       "--r-matrix", _write_r_matrix(tmp_path, payload))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,13 +1,30 @@
 import numpy as np
+import pytest
 
 from hopfbraid import floatback
-from hopfbraid.braidrep import ModuleAction, braided_r
+from hopfbraid.braidrep import (
+    BraidedRMatrix,
+    ModuleAction,
+    braided_r,
+    braiding_map,
+    check_braid_relations,
+    check_hexagon,
+    check_module_morphism,
+)
 from hopfbraid.groupalg import (
     GroupSpec,
+    check_algebraic_ybe,
+    check_hopf_axioms,
+    check_quasi_cocommutative,
+    check_quasitriangular,
+    specs_up_to,
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import Matrix, flip_operator
+from hopfbraid.linalg import EXACT, Matrix, flip_operator
+from hopfbraid.quantum import check_bell_actions
+
+FLOAT = floatback.NumpyOps()
 
 
 def test_matrix_complex_conversion():
@@ -16,49 +33,64 @@ def test_matrix_complex_conversion():
     assert m[1, 2] == 1.0 + 0j
 
 
-def test_float_backend_agrees_with_exact_on_small_specs():
-    for orders in [(2,), (3,), (2, 2)]:
-        spec = GroupSpec(orders)
-        r = universal_r(spec)
-        assert floatback.check_hopf_axioms_float(spec)
-        assert floatback.check_quasi_cocommutative_float(spec, r)
-        assert floatback.check_quasitriangular_float(spec, r)
-        assert floatback.check_algebraic_ybe_float(spec, r)
+def _algebra_verdicts(spec, r, ops):
+    return (check_hopf_axioms(spec, ops), check_quasi_cocommutative(spec, r, ops),
+            check_quasitriangular(spec, r, ops), check_algebraic_ybe(spec, r, ops))
+
+
+def _matrix_verdicts(spec, r, ops):
+    gate = braided_r(spec, r)
+    reg = ModuleAction.regular(spec)
+    verdicts = (check_braid_relations(3, gate, ops),
+                check_module_morphism(braiding_map(reg, reg, r), reg, reg, ops),
+                check_hexagon(reg, reg, reg, r, ops))
+    if spec.dimension == 2:
+        verdicts += (check_bell_actions(gate, ops),)
+    return verdicts
+
+
+@pytest.mark.parametrize("make_r", [universal_r, universal_r_fused_phase],
+                         ids=["universal_r", "universal_r_fused_phase"])
+def test_float_backend_agrees_with_exact_on_small_specs(make_r):
+    for spec in specs_up_to(6):
+        r = make_r(spec)
+        assert _algebra_verdicts(spec, r, FLOAT) == _algebra_verdicts(spec, r, EXACT)
+        if spec.dimension <= 4:
+            assert _matrix_verdicts(spec, r, FLOAT) == _matrix_verdicts(spec, r, EXACT)
 
 
 def test_float_backend_flags_fused_form_failure():
     spec = GroupSpec((2, 2))
     r = universal_r_fused_phase(spec)
-    assert floatback.check_algebraic_ybe_float(spec, r)
-    assert not floatback.check_quasitriangular_float(spec, r)
+    assert check_algebraic_ybe(spec, r, FLOAT)
+    assert not check_quasitriangular(spec, r, FLOAT)
 
 
 def test_braided_checks_float():
     gate = braided_r(GroupSpec((2,)))
     mat = floatback.matrix_complex(gate.matrix)
-    assert floatback.check_braided_ybe_float(mat, 2)
-    assert floatback.check_braid_relations_float(4, mat, 2)
-    assert floatback.check_bell_actions_float(mat)
-    assert floatback.check_unitary_float(mat)
+    assert check_braid_relations(3, gate, FLOAT)
+    assert check_braid_relations(4, gate, FLOAT)
+    assert check_bell_actions(gate, FLOAT)
+    assert FLOAT.equal(mat @ mat.conj().T, FLOAT.identity(4))
 
 
 def test_braided_checks_float_negative():
-    bad = np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex)
-    assert not floatback.check_braided_ybe_float(bad, 2)
-    assert not floatback.check_unitary_float(bad)
-    assert not floatback.check_bell_actions_float(np.eye(4, dtype=complex))
+    bad = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    badf = floatback.matrix_complex(bad)
+    assert not check_braid_relations(3, BraidedRMatrix(2, bad), FLOAT)
+    assert not FLOAT.equal(badf @ badf.conj().T, FLOAT.identity(4))
+    assert not check_bell_actions(Matrix.identity(4), FLOAT)
 
 
 def test_hexagon_and_morphism_float():
     spec = GroupSpec((2,))
     reg = ModuleAction.regular(spec)
     r = universal_r(spec)
-    from hopfbraid.braidrep import braiding_map
-
-    cmat = floatback.matrix_complex(braiding_map(reg, reg, r))
-    assert floatback.check_hexagon_float(reg, reg, reg, r)
-    assert floatback.check_module_morphism_float(cmat, reg, reg)
-    assert not floatback.check_module_morphism_float(np.zeros((4, 4), dtype=complex), reg, reg)
+    cmap = braiding_map(reg, reg, r)
+    assert check_hexagon(reg, reg, reg, r, FLOAT)
+    assert check_module_morphism(cmap, reg, reg, FLOAT)
+    assert not check_module_morphism(Matrix.zeros(4, 4), reg, reg, FLOAT)
 
 
 def test_tensor_complex_matches_exact_gamma():

@@ -1,0 +1,55 @@
+"""Byte-exact reports of a few cheap commands, compared with tests/golden/.
+
+The golden files pin the exact and float backends' reports, so a refactor
+of the checkers can be shown to leave every report unchanged.  To record a
+deliberate report change, rewrite the affected file from the command's
+stdout (gen-r paths are written as <out>, see _normalise).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from hopfbraid.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "check_2_all.txt": ["check", "--orders", "2", "--which", "all"],
+    "check_2_all.json": ["check", "--orders", "2", "--which", "all", "--json"],
+    "check_2_all_float.txt": ["check", "--orders", "2", "--which", "all",
+                              "--backend", "float"],
+    "check_2_all_float.json": ["check", "--orders", "2", "--which", "all",
+                               "--backend", "float", "--json"],
+    "check_22_quasitriangular_fused.json": ["check", "--orders", "2,2", "--which",
+                                            "quasitriangular", "--form", "fused",
+                                            "--json"],
+    "check_3_braid_4_float.json": ["check", "--orders", "3", "--which", "braid",
+                                   "--strands", "4", "--backend", "float", "--json"],
+    "braid_2_word_phi.json": ["braid", "--orders", "2", "--strands", "2",
+                              "--word=1,-1,1", "--state", "phi+", "--json"],
+    "compare_gates.json": ["compare-gates", "--json"],
+}
+
+GEN_R_FILES = ("universal_r.json", "gamma_r.json", "flip.json", "braided_r.json")
+
+
+def _normalise(text: str, out_dir: Path) -> str:
+    return text.replace(str(out_dir), "<out>")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_gen_r_matches_golden(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    assert main(["gen-r", "--orders", "2,2", "--output", str(out_dir)]) == 0
+    report = _normalise(capsys.readouterr().out, out_dir)
+    assert report == (GOLDEN / "gen_r_22.txt").read_text()
+    for name in GEN_R_FILES:
+        assert (out_dir / name).read_text() == (GOLDEN / "gen_r_22" / name).read_text()

@@ -14,7 +14,6 @@ from hopfbraid.linalg import (
     flip_pair,
     invert_matrix,
     kron,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     regular_representation,
@@ -34,7 +33,7 @@ def test_matmul_identity():
     rng = random.Random(0)
     a = random_matrix(rng, 3, 3)
     assert Matrix.identity(3) @ a == a
-    assert matmul(a, Matrix.identity(3)) == a
+    assert a @ Matrix.identity(3) == a
 
 
 def test_matmul_permutations_compose():
@@ -211,5 +210,16 @@ def test_matrix_json_float_export():
     g = flip_operator(2)
     data = matrix_to_json(g, float_entries=True)
     assert data["entries"][0] == [1.0, 0.0]
+    with pytest.raises(ValueError):
+        matrix_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"rows": 1, "cols": 1},
+    {"rows": "x", "cols": 1, "entries": []},
+    {"rows": 1, "cols": 1, "entries": 5},
+    [1, 2],
+])
+def test_matrix_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         matrix_from_json(data)

@@ -149,6 +149,11 @@ def test_kauffman_lomonaco_matrix_form():
         kauffman_lomonaco_r(2, 1, 1, 1)
 
 
+def test_kauffman_lomonaco_rejects_near_unit_scalar():
+    with pytest.raises(ValueError):
+        kauffman_lomonaco_r(Fraction(10000000001, 10000000000), 1, 1, 1)
+
+
 def test_kauffman_lomonaco_satisfies_braid_relation():
     for scalars in [(1, 1, 1, 1), (1, -1, 1, 1)]:
         wrapped = BraidedRMatrix(2, kauffman_lomonaco_r(*scalars))

@@ -1,9 +1,12 @@
 import cmath
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from hopfbraid import scalar
 from hopfbraid.scalar import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -197,3 +200,44 @@ def test_division():
     i_ = root_of_unity(4, 1)
     assert (rational(2) / (rational(1) + i_)) * (rational(1) + i_) == 2
     assert rational(1) / i_ == -i_
+
+
+@pytest.mark.parametrize("data", [
+    {"coeffs": [[1, 1]]},
+    {"order": 1},
+    {"order": 1, "coeffs": [[1, 0]]},
+    {"order": 1, "coeffs": [["a", 1]]},
+    {"order": 1, "coeffs": [[1, 2, 3]]},
+    {"order": 1, "coeffs": 7},
+    "z",
+])
+def test_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        CyclotomicNumber.from_json(data)
+
+
+def test_power_table_growth_is_thread_safe():
+    order, top = 193, 4000  # no other test uses this order
+    barrier = threading.Barrier(4)
+
+    def grow():
+        barrier.wait(timeout=60)
+        scalar._power_residues(order, top)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        threaded = list(scalar._POWER_TABLES.pop(order))
+        single = list(scalar._power_residues(order, top))
+    finally:
+        scalar._POWER_TABLES.pop(order, None)
+    assert threaded == single
