@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groupalg import AlgebraElement, GroupSpec, TensorElement, universal_r
+from .groupalg import AlgebraElement, GroupSpec, TensorElement, as_single_leg, universal_r
 from .linalg import (
     EXACT,
     Matrix,
+    _action_image,
     flip_operator,
     flip_pair,
     invert_matrix,
-    kron,
     regular_representation,
 )
 
@@ -165,10 +165,7 @@ class ModuleAction:
     def on_element(self, x: AlgebraElement) -> Matrix:
         if x.spec != self.spec:
             raise ValueError("group spec mismatch")
-        acc = Matrix.zeros(self.dimension, self.dimension)
-        for exps, c in x.terms.items():
-            acc = acc + self.on_basis(exps) * c
-        return acc
+        return _action_image([self], as_single_leg(x))
 
     def validate(self) -> bool:
         """Unit acts as identity and the assignment is multiplicative."""
@@ -191,11 +188,7 @@ def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:
         raise ValueError("module actions live over different specs")
     if r.spec != v.spec or r.legs != 2:
         raise ValueError("expected a two-leg element over the modules' spec")
-    p, q = v.dimension, w.dimension
-    acc = Matrix.zeros(p * q, p * q)
-    for (s, t), c in r.terms.items():
-        acc = acc + kron(v.on_basis(s), w.on_basis(t)) * c
-    return flip_pair(p, q) @ acc
+    return flip_pair(v.dimension, w.dimension) @ _action_image([v, w], r)
 
 
 def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction,

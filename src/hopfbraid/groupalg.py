@@ -516,10 +516,14 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def tensor_from_json(data: dict) -> TensorElement:
-    spec = GroupSpec(tuple(int(n) for n in data["orders"]))
-    pairs = [
-        (tuple(tuple(int(e) for e in leg) for leg in term["exps"]),
-         CyclotomicNumber.from_json(term["coeff"]))
-        for term in data["terms"]
-    ]
-    return TensorElement.from_terms(spec, int(data["legs"]), pairs)
+    """Inverse of tensor_to_json; raises ValueError on malformed input."""
+    try:
+        orders = tuple(int(n) for n in data["orders"])
+        legs = int(data["legs"])
+        terms = [(tuple(tuple(int(e) for e in leg) for leg in term["exps"]), term["coeff"])
+                 for term in data["terms"]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("tensor JSON needs integer 'orders' and 'legs' and a 'terms' "
+                         "list of objects with integer 'exps' lists and a 'coeff'") from None
+    pairs = [(key, CyclotomicNumber.from_json(coeff)) for key, coeff in terms]
+    return TensorElement.from_terms(GroupSpec(orders), legs, pairs)

@@ -2,17 +2,25 @@
 
 Row-major storage, immutable after construction.  Composite (Kronecker)
 indices always put the first tensor factor in the most significant
-position.  Gaussian elimination takes the first nonzero pivot in each
-column; exact arithmetic needs no magnitude pivoting and this keeps every
-result deterministic.
+position.
+
+Each exact linear-algebra job has one implementation.  ``_action_image``
+is the one action routine: every regular image (``on_element``,
+``on_tensor``) and every braiding map (braidrep) is the matrix of a tensor
+element acting on a tensor product of modules.  ``scalar._row_reduce`` is
+the one elimination: inverse, rank and field descent all call it.  It
+takes the first nonzero pivot in each column; exact arithmetic needs no
+magnitude pivoting and this keeps every result deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 
-from .groupalg import AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement
-from .scalar import CyclotomicNumber, as_scalar, rational
+from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
+                       as_single_leg)
+from .scalar import CyclotomicNumber, _row_reduce, as_scalar, rational
 
 
 class SingularMatrixError(ValueError):
@@ -153,53 +161,24 @@ def conjugate_transpose(a: Matrix) -> Matrix:
 
 
 def invert_matrix(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the cyclotomic field."""
+    """Exact inverse by Gauss-Jordan elimination of [a | I] over the
+    cyclotomic field."""
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    left = [list(a.entries[i * n:(i + 1) * n]) for i in range(n)]
     one, zero = rational(1), rational(0)
-    right = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not left[r][col].is_zero), None)
-        if piv is None:
-            raise SingularMatrixError(col)
-        if piv != col:
-            left[col], left[piv] = left[piv], left[col]
-            right[col], right[piv] = right[piv], right[col]
-        inv = left[col][col].invert()
-        left[col] = [v * inv for v in left[col]]
-        right[col] = [v * inv for v in right[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = left[r][col]
-            if f.is_zero:
-                continue
-            left[r] = [v - f * w for v, w in zip(left[r], left[col])]
-            right[r] = [v - f * w for v, w in zip(right[r], right[col])]
-    return Matrix(n, n, [e for row in right for e in row])
+    rows = [list(a.entries[i * n:(i + 1) * n]) + [one if i == j else zero for j in range(n)]
+            for i in range(n)]
+    pivots = _row_reduce(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(next(c for c in range(n) if c not in pivots))
+    return Matrix(n, n, [e for row in rows for e in row[n:]])
 
 
 def exact_rank(a: Matrix) -> int:
-    """Rank by exact row echelon reduction."""
-    work = [list(a.entries[i * a.cols:(i + 1) * a.cols]) for i in range(a.rows)]
-    rank = 0
-    for col in range(a.cols):
-        piv = next((r for r in range(rank, a.rows) if not work[r][col].is_zero), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].invert()
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(rank + 1, a.rows):
-            f = work[r][col]
-            if not f.is_zero:
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+    """Rank by exact row reduction."""
+    rows = [list(a.entries[i * a.cols:(i + 1) * a.cols]) for i in range(a.rows)]
+    return len(_row_reduce(rows, a.cols))
 
 
 def cyclic_shift(order: int) -> Matrix:
@@ -228,6 +207,40 @@ def flip_operator(d: int) -> Matrix:
     return flip_pair(d, d)
 
 
+def _action_image(modules, t: TensorElement) -> Matrix:
+    """Matrix of the tensor element t acting on V_1 (x) ... (x) V_k, where
+    modules[i] gives V_i's ``dimension`` and its matrix ``on_basis(exps)``:
+    the sum over terms of c * kron(rho_1(g_1), ..., rho_k(g_k)).  Only the
+    nonzero entries of each factor are visited; cells no term reaches stay
+    rational(0)."""
+    dims = [m.dimension for m in modules]
+    size = prod(dims)
+    nonzero = [{} for _ in modules]  # per leg: exps -> [(row, col, entry)]
+    cells: dict = {}
+    for key, c in t.terms.items():
+        legs = []
+        for module, seen, exps in zip(modules, nonzero, key):
+            entries = seen.get(exps)
+            if entries is None:
+                m = module.on_basis(exps)
+                entries = seen[exps] = [(i, j, m[i, j]) for i in range(m.rows)
+                                        for j in range(m.cols) if not m[i, j].is_zero]
+            legs.append(entries)
+        for hits in itertools.product(*legs):
+            row = col = 0
+            value = c
+            for n, (i, j, e) in zip(dims, hits):
+                row, col = row * n + i, col * n + j
+                value = value * e
+            cell = row * size + col
+            prev = cells.get(cell)
+            cells[cell] = value if prev is None else prev + value
+    entries = [rational(0)] * (size * size)
+    for cell, value in cells.items():
+        entries[cell] = value
+    return Matrix(size, size, entries)
+
+
 class RegularRepresentation:
     """Left regular action of the group algebra on itself.
 
@@ -240,25 +253,11 @@ class RegularRepresentation:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self._index = {exps: i for i, exps in enumerate(spec.basis())}
-        self._basis_list = list(spec.basis())
-        self._perm_cache: dict = {}
         self._matrix_cache: dict = {}
 
     @property
     def dimension(self) -> int:
         return self.spec.dimension
-
-    def _perm(self, exps) -> tuple[int, ...]:
-        exps = self.spec.reduce(exps)
-        perm = self._perm_cache.get(exps)
-        if perm is None:
-            orders = self.spec.orders
-            perm = tuple(
-                self._index[tuple((c + e) % n for c, e, n in zip(col, exps, orders))]
-                for col in self._basis_list
-            )
-            self._perm_cache[exps] = perm
-        return perm
 
     def on_basis(self, exps) -> Matrix:
         exps = self.spec.reduce(exps)
@@ -267,8 +266,9 @@ class RegularRepresentation:
             d = self.dimension
             m = Matrix.zeros(d, d)
             one = rational(1)
-            perm = self._perm(exps)
-            for col, row in enumerate(perm):
+            orders = self.spec.orders
+            for col, src in enumerate(self.spec.basis()):
+                row = self._index[tuple((c + e) % n for c, e, n in zip(src, exps, orders))]
                 m.entries[row * d + col] = one
             self._matrix_cache[exps] = m
         return m
@@ -276,40 +276,12 @@ class RegularRepresentation:
     def on_element(self, x: AlgebraElement) -> Matrix:
         if x.spec != self.spec:
             raise ValueError("group spec mismatch")
-        d = self.dimension
-        cells: dict = {}
-        for exps, c in x.terms.items():
-            perm = self._perm(exps)
-            for col, row in enumerate(perm):
-                key = row * d + col
-                prev = cells.get(key)
-                cells[key] = c if prev is None else prev + c
-        entries = [rational(0)] * (d * d)
-        for key, c in cells.items():
-            entries[key] = c
-        return Matrix(d, d, entries)
+        return _action_image([self], as_single_leg(x))
 
     def on_tensor(self, t: TensorElement) -> Matrix:
         if t.spec != self.spec:
             raise ValueError("group spec mismatch")
-        d = self.dimension
-        k = t.legs
-        size = d ** k
-        cols_digits = list(itertools.product(range(d), repeat=k))
-        cells: dict = {}
-        for key, c in t.terms.items():
-            perms = [self._perm(e) for e in key]
-            for col, digs in enumerate(cols_digits):
-                row = 0
-                for perm, dig in zip(perms, digs):
-                    row = row * d + perm[dig]
-                cell = row * size + col
-                prev = cells.get(cell)
-                cells[cell] = c if prev is None else prev + c
-        entries = [rational(0)] * (size * size)
-        for cell, c in cells.items():
-            entries[cell] = c
-        return Matrix(size, size, entries)
+        return _action_image([self] * t.legs, t)
 
 
 def regular_representation(spec: GroupSpec) -> RegularRepresentation:
@@ -329,11 +301,7 @@ class ExactOps(ExactAlgebraOps):
         return Matrix.identity(n)
 
     def invertible(self, m: Matrix) -> bool:
-        try:
-            invert_matrix(m)
-        except SingularMatrixError:
-            return False
-        return True
+        return m.rows == m.cols and exact_rank(m) == m.rows
 
 
 EXACT = ExactOps()

@@ -303,5 +303,9 @@ def state_to_json(state: StateVector) -> dict:
 
 
 def state_from_json(data: dict) -> StateVector:
-    return StateVector(int(data["d"]), int(data["n"]),
-                       [CyclotomicNumber.from_json(a) for a in data["amps"]])
+    """Inverse of state_to_json; raises ValueError on malformed input."""
+    try:
+        d, n, amps = int(data["d"]), int(data["n"]), list(data["amps"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("state JSON needs integer 'd' and 'n' and an 'amps' list") from None
+    return StateVector(d, n, [CyclotomicNumber.from_json(a) for a in amps])

@@ -26,22 +26,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _exact_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den must be monic; raises if the division leaves a remainder
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dd]
-        if c:
-            quot[k] = c
-            for j in range(dd + 1):
-                num[k + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial of the given order.
@@ -54,11 +38,13 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
         raise ValueError("order must be a positive integer")
     if order == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (order - 1) + [1]
+    poly = [-_ONE] + [_ZERO] * (order - 1) + [_ONE]
     for d in range(1, order):
         if order % d == 0:
-            poly = _exact_poly_div(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+            poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            if rem:
+                raise ArithmeticError("polynomial division left a remainder")
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
@@ -435,34 +421,45 @@ def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]):
     return r0, s0
 
 
-def _solve_columns(cols, target):
-    """Solve sum_j x_j * cols[j] = target exactly; None if inconsistent."""
-    m = len(target)
-    n = len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if aug[r][col]), None)
+def _row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """Bring rows to reduced row echelon form in place, pivoting only in the
+    first ncols columns, and return the pivot columns.
+
+    The one elimination of the package (inverse, rank and descent all use
+    it).  Entries may be Fractions or CyclotomicNumbers: only ``1 / pivot``,
+    truthiness and ``v - f * w`` are used.  The pivot of each column is its
+    first nonzero entry at or below the current row, so results are
+    deterministic.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = _ONE / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = 1 / rows[top][col]
+        pivot_row = rows[top] = [v * inv for v in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != top and f:
+                rows[r] = [v - f * w for v, w in zip(row, pivot_row)]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
+    return pivots
+
+
+def _solve_columns(cols, target):
+    """Solve sum_j x_j * cols[j] = target exactly; None if inconsistent."""
+    n = len(cols)
+    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    pivots = _row_reduce(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     sol = [_ZERO] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
+    for row, col in zip(aug, pivots):
+        sol[col] = row[n]
     return sol
 
 

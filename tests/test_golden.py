@@ -30,6 +30,9 @@ CASES = {
                                    "--strands", "4", "--backend", "float", "--json"],
     "braid_2_word_phi.json": ["braid", "--orders", "2", "--strands", "2",
                               "--word=1,-1,1", "--state", "phi+", "--json"],
+    # inverts an order-3 R' and takes exact Schmidt ranks over Q(zeta_3)
+    "braid_3_word_inverse.json": ["braid", "--orders", "3", "--strands", "3",
+                                  "--word=-1,2,-1", "--state", "012", "--json"],
     "compare_gates.json": ["compare-gates", "--json"],
 }
 
@@ -53,3 +56,13 @@ def test_gen_r_matches_golden(tmp_path, capsys):
     assert report == (GOLDEN / "gen_r_22.txt").read_text()
     for name in GEN_R_FILES:
         assert (out_dir / name).read_text() == (GOLDEN / "gen_r_22" / name).read_text()
+
+
+def test_gen_r_order_three_matches_golden(tmp_path, capsys):
+    # entries in Q(zeta_3), where every gen_r_22 entry is rational
+    out_dir = tmp_path / "gen"
+    assert main(["gen-r", "--orders", "3", "--output", str(out_dir)]) == 0
+    report = _normalise(capsys.readouterr().out, out_dir)
+    assert report == (GOLDEN / "gen_r_3.txt").read_text()
+    for name in GEN_R_FILES:
+        assert (out_dir / name).read_text() == (GOLDEN / "gen_r_3" / name).read_text()

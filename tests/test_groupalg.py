@@ -238,3 +238,23 @@ def test_tensor_json_round_trip():
         data = tensor_to_json(t)
         assert set(data) == {"orders", "legs", "terms"}
         assert tensor_from_json(data) == t
+
+
+_ONE_JSON = {"order": 1, "coeffs": [[1, 1]]}
+
+
+@pytest.mark.parametrize("data", [
+    {"orders": [2], "legs": 1},
+    {"orders": 2, "legs": 1, "terms": []},
+    {"orders": [2], "legs": "x", "terms": []},
+    {"orders": [2], "legs": 1, "terms": [{"coeff": _ONE_JSON}]},
+    {"orders": [2], "legs": 1, "terms": [{"exps": [[1]]}]},
+    {"orders": [2], "legs": 1, "terms": [{"exps": [["a"]], "coeff": _ONE_JSON}]},
+    {"orders": [2], "legs": 1, "terms": [{"exps": [[1]], "coeff": {"order": 1}}]},
+    {"orders": [2], "legs": 2, "terms": [{"exps": [[1]], "coeff": _ONE_JSON}]},
+    {"orders": [2], "legs": 1, "terms": [[1]]},
+    [2, 1],
+])
+def test_tensor_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        tensor_from_json(data)

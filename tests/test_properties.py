@@ -1,0 +1,80 @@
+"""Property tests of the exact elimination and of field descent.
+
+Inverse, rank and descent share one row reduction (scalar._row_reduce);
+these tests pin it on small matrices whose entries are small integers
+times roots of unity of order 3 or 4, so products mix the two fields.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hopfbraid.linalg import EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix
+from hopfbraid.scalar import root_of_unity
+
+
+@st.composite
+def scalars(draw):
+    order = draw(st.sampled_from((3, 4)))
+    return draw(st.integers(-2, 2)) * root_of_unity(order, draw(st.integers(0, order - 1)))
+
+
+@st.composite
+def square_matrices(draw, min_size=1):
+    n = draw(st.integers(min_size, 4))
+    return Matrix(n, n, draw(st.lists(scalars(), min_size=n * n, max_size=n * n)))
+
+
+def _columns_rank(m: Matrix, count: int) -> int:
+    """Numerical rank of the first count columns of m (numpy oracle)."""
+    dense = np.array(m.to_complex(), dtype=complex)[:, :count]
+    return int(np.linalg.matrix_rank(dense))
+
+
+@given(square_matrices())
+def test_inverse_exists_exactly_at_full_rank(a):
+    n = a.rows
+    full = exact_rank(a) == n
+    assert EXACT.invertible(a) is full
+    if full:
+        inv = invert_matrix(a)
+        assert inv @ a == Matrix.identity(n)
+        assert a @ inv == Matrix.identity(n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(a)
+
+
+@given(square_matrices(min_size=2), st.data())
+def test_repeated_column_names_the_first_column_without_pivot(a, data):
+    n = a.rows
+    j = data.draw(st.integers(1, n - 1))
+    i = data.draw(st.integers(0, j - 1))
+    entries = list(a.entries)
+    for row in range(n):
+        entries[row * n + j] = entries[row * n + i]
+    b = Matrix(n, n, entries)
+    # the first column lying in the span of the columns before it
+    first = next(k for k in range(n) if _columns_rank(b, k + 1) <= k)
+    with pytest.raises(SingularMatrixError) as err:
+        invert_matrix(b)
+    assert err.value.column == first
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_exact_rank_of_integer_matrices_matches_numpy(rows, cols, data):
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                                max_size=rows * cols))
+    expected = np.linalg.matrix_rank(np.array(values, dtype=float).reshape(rows, cols))
+    assert exact_rank(Matrix(rows, cols, values)) == expected
+
+
+@given(st.lists(scalars(), min_size=1, max_size=4), st.integers(1, 4))
+def test_descend_undoes_lift(parts, factor):
+    x = sum(parts[1:], parts[0]).descend()
+    y = x.lift(x.order * factor).descend()
+    assert y == x
+    assert y.order == x.order

@@ -215,3 +215,17 @@ def test_state_json_round_trip():
         data = state_to_json(s)
         assert set(data) == {"d", "n", "amps"}
         assert state_from_json(data) == s
+
+
+@pytest.mark.parametrize("data", [
+    {"d": 2, "n": 1},
+    {"d": "x", "n": 1, "amps": []},
+    {"d": 2, "n": 1, "amps": 5},
+    {"d": 2, "n": 1, "amps": ["a", "b"]},
+    {"d": 2, "n": 1, "amps": [{"order": 1, "coeffs": [[1, 1]]}]},
+    {"d": 2, "n": 1, "amps": [{"order": 1, "coeffs": [[0, 1]]}] * 2},
+    [2, 1],
+])
+def test_state_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        state_from_json(data)
