@@ -49,6 +49,8 @@ from .groupalg import (
 from .linalg import (
     EXACT,
     Matrix,
+    MonomialOps,
+    NotMonomialError,
     conjugate_transpose,
     flip_operator,
     matrix_from_json,
@@ -84,6 +86,38 @@ ANCHORS = {
 
 WHICH_CHOICES = ("hopf", "quasitriangular", "ybe", "braided-ybe", "braid",
                  "hexagon", "bell-actions", "all")
+
+# checks that the exact backend runs on MonomialOps when every matrix they
+# lift certifies as monomial in the character basis
+MONOMIAL_CHECKS = ("braided-ybe", "braid", "hexagon")
+
+# Size guard: a command may hold no matrix of more than this many exact
+# entries.  A dense n x n matrix holds n*n entries (so dense sides up to
+# 512 are admitted), a monomial one n.
+MAX_MATRIX_ENTRIES = 1 << 18
+
+
+def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
+    """Cost estimate of one check (a --which choice other than "all") at
+    local dimension d: the entries of the largest matrix it builds, where
+    path is "dense" (exact), "monomial" (MonomialOps, after a dense d^2
+    certificate) or "float" (numpy).  Also used for ``braid`` with "braid"
+    and for ``gen-r`` with "gen-r".  Exact algebra-level checks multiply
+    tensor elements and build no matrix; the float backend lifts their
+    three-leg tensors into d^3-sided matrices."""
+    legs = {"gen-r": 2, "bell-actions": 2, "braided-ybe": 3, "hexagon": 3,
+            "braid": strands}.get(which)
+    if legs is None:
+        return d ** 6 if path == "float" else 0
+    # past 64 legs every d > 1 is refused; the cap keeps the estimate cheap
+    side = d ** min(max(legs, 2), 64)
+    return max(d ** 4, side if path == "monomial" else side * side)
+
+
+def _admit(entries: int, what: str):
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
+                         f"limit of {MAX_MATRIX_ENTRIES}")
 
 
 class Report:
@@ -178,6 +212,7 @@ def _timed(fn):
 def cmd_gen_r(args, argv) -> int:
     spec = _parse_orders(args.orders)
     report = Report(" ".join(argv), args.backend, args.timings)
+    _admit(matrix_entries(spec.dimension, "gen-r", 2, "dense"), "gen-r")
     r = _build_r(spec, args.form)
     rep = regular_representation(spec)
     d = spec.dimension
@@ -226,9 +261,6 @@ def cmd_check(args, argv) -> int:
         if w != "bell-actions" or d == 2
     ]
 
-    need_r = any(w != "hopf" for w in selected)
-    r = _build_r(spec, args.form) if need_r else None
-
     external = None
     if args.r_matrix:
         data = json.loads(Path(args.r_matrix).read_text())
@@ -238,6 +270,23 @@ def cmd_check(args, argv) -> int:
             raise ValueError("imported matrix is not d^2 x d^2")
         external = BraidedRMatrix(side, m, provenance=f"file {args.r_matrix}")
 
+    use_float = args.backend == "float"
+
+    def local_dim(which):
+        on_r_prime = which in ("braided-ybe", "braid", "bell-actions")
+        return external.dimension if external is not None and on_r_prime else d
+
+    def path(which):
+        if use_float:
+            return "float"
+        return "monomial" if which in MONOMIAL_CHECKS else "dense"
+
+    for which in selected:
+        _admit(matrix_entries(local_dim(which), which, args.strands, path(which)),
+               f"check --which {which}")
+
+    need_r = any(w != "hopf" for w in selected)
+    r = _build_r(spec, args.form) if need_r else None
     braided = None
 
     def get_braided():
@@ -246,11 +295,24 @@ def cmd_check(args, argv) -> int:
             braided = external if external is not None else braided_r(spec, r)
         return braided
 
-    use_float = args.backend == "float"
     ops = floatback.NumpyOps(tol) if use_float else EXACT
+    monomial = None
 
-    def run(name, anchor, rec, check, *check_args):
-        ok, dt = _timed(lambda: check(*check_args, ops))
+    def verdict(which, check, check_args):
+        nonlocal monomial
+        if path(which) == "monomial":
+            if monomial is None:
+                monomial = MonomialOps(spec)
+            try:
+                return check(*check_args, monomial)
+            except NotMonomialError:
+                # no certificate: the dense oracle decides
+                _admit(matrix_entries(local_dim(which), which, args.strands, "dense"),
+                       f"check --which {which} without a monomial certificate")
+        return check(*check_args, ops)
+
+    def run(which, name, anchor, rec, check, *check_args):
+        ok, dt = _timed(lambda: verdict(which, check, check_args))
         detail = f"float backend, tolerance {tol:g}" if use_float else ""
         if rec:
             status = "recorded"
@@ -262,30 +324,30 @@ def cmd_check(args, argv) -> int:
 
     for which in selected:
         if which == "hopf":
-            run("hopf-axioms", ANCHORS["hopf-axioms"], False, check_hopf_axioms, spec)
+            run(which, "hopf-axioms", ANCHORS["hopf-axioms"], False, check_hopf_axioms, spec)
         elif which == "quasitriangular":
-            run("quasi-cocommutativity", ANCHORS["quasi-cocommutativity"], recorded,
+            run(which, "quasi-cocommutativity", ANCHORS["quasi-cocommutativity"], recorded,
                 check_quasi_cocommutative, spec, r)
-            run("quasitriangular-coproducts", ANCHORS["quasitriangular-coproducts"],
+            run(which, "quasitriangular-coproducts", ANCHORS["quasitriangular-coproducts"],
                 recorded, check_quasitriangular, spec, r)
         elif which == "ybe":
-            run("algebraic-ybe", ANCHORS["algebraic-ybe"], recorded,
+            run(which, "algebraic-ybe", ANCHORS["algebraic-ybe"], recorded,
                 check_algebraic_ybe, spec, r)
         elif which == "braided-ybe":
-            run("braided-ybe", ANCHORS["braided-ybe"], recorded,
+            run(which, "braided-ybe", ANCHORS["braided-ybe"], recorded,
                 check_braid_relations, 3, get_braided())
         elif which == "braid":
             strands = args.strands
-            run(f"braid-relations-{strands}",
+            run(which, f"braid-relations-{strands}",
                 f"{ANCHORS['braid-relations']} on {strands} strands", recorded,
                 check_braid_relations, strands, get_braided())
         elif which == "hexagon":
             reg = ModuleAction.regular(spec)
-            run("module-morphism", ANCHORS["module-morphism"], recorded,
+            run(which, "module-morphism", ANCHORS["module-morphism"], recorded,
                 check_module_morphism, braiding_map(reg, reg, r), reg, reg)
-            run("hexagon", ANCHORS["hexagon"], recorded, check_hexagon, reg, reg, reg, r)
+            run(which, "hexagon", ANCHORS["hexagon"], recorded, check_hexagon, reg, reg, reg, r)
         elif which == "bell-actions":
-            run("bell-actions", ANCHORS["bell-actions"], recorded,
+            run(which, "bell-actions", ANCHORS["bell-actions"], recorded,
                 check_bell_actions, get_braided())
 
     return report.emit(args.json)
@@ -298,6 +360,7 @@ def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
     report = Report(" ".join(argv), args.backend, args.timings)
     word = BraidWord(args.strands, _parse_word(args.word))
+    _admit(matrix_entries(spec.dimension, "braid", word.strands, "dense"), "braid")
     gate = braided_r(spec)
     matrix = evaluate_braid_word(word, gate)
     d = spec.dimension

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupalg import GroupSpec, TensorElement
-from .linalg import Matrix, regular_representation
+from .linalg import Matrix
 
 DEFAULT_TOL = 1e-9
 
@@ -23,23 +23,32 @@ def matrix_complex(m: Matrix) -> np.ndarray:
     return np.array(m.to_complex(), dtype=complex)
 
 
-def _basis_mats(spec: GroupSpec) -> dict:
-    rep = regular_representation(spec)
-    return {exps: matrix_complex(rep.on_basis(exps)) for exps in spec.basis()}
+def tensor_complex(spec: GroupSpec, t: TensorElement) -> np.ndarray:
+    """Regular image of a tensor element as a numpy matrix.
 
-
-def tensor_complex(spec: GroupSpec, t: TensorElement, mats=None) -> np.ndarray:
-    """Regular image of a tensor element as a numpy matrix."""
-    if mats is None:
-        mats = _basis_mats(spec)
-    d = spec.dimension
-    size = d ** t.legs
+    The image of a basis term g^(a_1) (x) ... (x) g^(a_k) is the permutation
+    matrix sending basis index j to the index of its exponents shifted by
+    a_1 .. a_k, so each coefficient is scattered into one cell per column;
+    the row of every cell is computed from the term's exponents.
+    """
+    d, legs = spec.dimension, t.legs
+    size = d ** legs
     out = np.zeros((size, size), dtype=complex)
-    for key, coeff in t.terms.items():
-        m = mats[key[0]]
-        for leg in key[1:]:
-            m = np.kron(m, mats[leg])
-        out += coeff.to_complex() * m
+    if not t.terms:
+        return out
+    orders = np.array(spec.orders)
+    strides = d // np.cumprod(orders)  # first factor most significant
+    digits = np.array(list(spec.basis())).reshape(d, len(orders))
+    keys = np.array(list(t.terms), dtype=int).reshape(len(t.terms), legs, len(orders))
+    coeffs = np.array([c.to_complex() for c in t.terms.values()])
+    # shifted[term, leg, j]: index of basis element j shifted by that leg's exponents
+    shifted = ((digits[None, None] + keys[:, :, None]) % orders) @ strides
+    cols = np.arange(size)
+    rows = np.zeros((len(coeffs), size), dtype=int)
+    for leg in range(legs):
+        place = d ** (legs - 1 - leg)
+        rows += shifted[:, leg, (cols // place) % d] * place
+    np.add.at(out, (rows, cols), coeffs[:, None])
     return out
 
 
@@ -48,13 +57,9 @@ class NumpyOps:
 
     def __init__(self, tol: float = DEFAULT_TOL):
         self.tol = tol
-        self._mats: dict = {}
 
     def tensor(self, t: TensorElement) -> np.ndarray:
-        mats = self._mats.get(t.spec)
-        if mats is None:
-            mats = self._mats[t.spec] = _basis_mats(t.spec)
-        return tensor_complex(t.spec, t, mats)
+        return tensor_complex(t.spec, t)
 
     def matrix(self, m: Matrix) -> np.ndarray:
         return matrix_complex(m)

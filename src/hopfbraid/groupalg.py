@@ -400,7 +400,8 @@ class ExactAlgebraOps:
 
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
     the identity, products are taken in the tensor-power algebra and
-    equality is exact; floatback.NumpyOps lifts into numpy instead.
+    equality is exact; floatback.NumpyOps lifts into numpy instead, and
+    linalg.MonomialOps into monomial matrices in the character basis.
     """
 
     def tensor(self, t: TensorElement) -> TensorElement:

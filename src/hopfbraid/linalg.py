@@ -1,8 +1,16 @@
-"""Dense matrices over exact cyclotomic scalars.
+"""Dense and monomial matrices over exact cyclotomic scalars.
 
 Row-major storage, immutable after construction.  Composite (Kronecker)
 indices always put the first tensor factor in the most significant
 position.
+
+Two exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
+``EXACT`` works on dense ``Matrix`` objects and is the oracle;
+``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
+character basis of the spec.  It admits a matrix only after computing its
+conjugate by the character basis exactly and finding one nonzero entry in
+every row and column (the certificate), and raises NotMonomialError
+otherwise, so a caller can fall back to ``EXACT``.
 
 Each exact linear-algebra job has one implementation.  ``_action_image``
 is the one action routine: every regular image (``on_element``,
@@ -20,7 +28,7 @@ from math import prod
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
                        as_single_leg)
-from .scalar import CyclotomicNumber, _row_reduce, as_scalar, rational
+from .scalar import CyclotomicNumber, _row_reduce, as_scalar, rational, root_of_unity
 
 
 class SingularMatrixError(ValueError):
@@ -305,6 +313,139 @@ class ExactOps(ExactAlgebraOps):
 
 
 EXACT = ExactOps()
+
+
+# -- monomial matrices in the character basis -------------------------------
+
+
+class NotMonomialError(ValueError):
+    """A matrix is not monomial in the character basis of its spec."""
+
+
+class MonomialMatrix:
+    """A square matrix with exactly one nonzero entry in each row and each
+    column: row i holds ``weights[i]`` in column ``perm[i]``.  Products and
+    Kronecker products stay monomial and cost one scalar multiplication per
+    row."""
+
+    __slots__ = ("perm", "weights")
+
+    def __init__(self, perm: tuple[int, ...], weights: tuple[CyclotomicNumber, ...]):
+        self.perm = perm
+        self.weights = weights
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "MonomialMatrix":
+        """Read the monomial form off a dense matrix; NotMonomialError when a
+        row or a column does not hold exactly one nonzero entry."""
+        if m.rows != m.cols:
+            raise NotMonomialError("a monomial matrix is square")
+        n = m.cols
+        perm, weights = [], []
+        for i in range(n):
+            hits = [j for j in range(n) if not m.entries[i * n + j].is_zero]
+            if len(hits) != 1:
+                raise NotMonomialError(f"row {i} has {len(hits)} nonzero entries")
+            perm.append(hits[0])
+            weights.append(m.entries[i * n + hits[0]])
+        if len(set(perm)) != n:
+            raise NotMonomialError("two rows have their nonzero entry in one column")
+        return cls(tuple(perm), tuple(weights))
+
+    def to_matrix(self) -> Matrix:
+        n = len(self.perm)
+        out = Matrix.zeros(n, n)
+        for i, (j, w) in enumerate(zip(self.perm, self.weights)):
+            out.entries[i * n + j] = w
+        return out
+
+    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        if len(self.perm) != len(other.perm):
+            raise ValueError("dimension mismatch")
+        p, w = other.perm, other.weights
+        return MonomialMatrix(tuple(p[k] for k in self.perm),
+                              tuple(a * w[k] for a, k in zip(self.weights, self.perm)))
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialMatrix):
+            return NotImplemented
+        return self.perm == other.perm and self.weights == other.weights
+
+    __hash__ = None
+
+
+class MonomialOps(ExactOps):
+    """Exact backend on monomial matrices in the character basis of a spec.
+
+    The character basis of the regular module is the Kronecker product F of
+    the per-factor DFT matrices, F[j, c] = zeta_n^(j c), in spec basis order;
+    every element of the group algebra acts diagonally there.  ``matrix``
+    takes a d^k x d^k matrix m (k <= 2) to F^(-k) m F^(k) exactly, one
+    tensor factor at a time, and raises NotMonomialError unless that product
+    (the certificate) is monomial.  Conjugation by the invertible F^(N)
+    respects products, Kronecker products, identities and equality, so every
+    verdict equals the dense one.  Certified conversions are cached per
+    instance, keyed on the exact entries.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        self.dimension = d = spec.dimension
+        f = Matrix.identity(1)
+        for n in spec.orders:
+            f = kron(f, Matrix(n, n, [root_of_unity(n, j * c) for j in range(n)
+                                      for c in range(n)]))
+        f_inv = invert_matrix(f)
+        eye = Matrix.identity(d)
+        # per power k: the factors of F^(-k) and of the transpose of F^(k),
+        # one tensor position each, so every product has a sparse left side
+        self._factors = {
+            1: ([f_inv], [f.transpose()]),
+            2: ([kron(eye, f_inv), kron(f_inv, eye)],
+                [kron(f, eye).transpose(), kron(eye, f).transpose()]),
+        }
+        self._cache: dict = {}
+
+    def matrix(self, m: Matrix) -> MonomialMatrix:
+        key = (m.rows, m.cols, tuple((e.order, e.coeffs) for e in m.entries))
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache[key] = self._certify(m)
+        return found
+
+    def _certify(self, m: Matrix) -> MonomialMatrix:
+        d = self.dimension
+        power = next((k for k in (1, 2) if m.rows == m.cols == d ** k), None)
+        if power is None:
+            raise NotMonomialError(f"a {m.rows}x{m.cols} matrix is not d or d^2 "
+                                   f"square for local dimension {d}")
+        left, right_t = self._factors[power]
+        for a in left:
+            m = a @ m
+        m = m.transpose()
+        for b in right_t:
+            m = b @ m
+        return MonomialMatrix.from_matrix(m.transpose())
+
+    def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+        n = len(b.perm)
+        return MonomialMatrix(tuple(i * n + j for i in a.perm for j in b.perm),
+                              tuple(x * y for x in a.weights for y in b.weights))
+
+    def identity(self, n: int) -> MonomialMatrix:
+        # only a side d^k has a character basis, F^(k); mixing another side
+        # into a Kronecker product would break the conjugation invariant
+        side, d = n, self.dimension
+        while d > 1 and side % d == 0:
+            side //= d
+        if side != 1:
+            raise NotMonomialError(f"side {n} is not a power of the local dimension {d}")
+        one = rational(1)
+        return MonomialMatrix(tuple(range(n)), (one,) * n)
+
+    def invertible(self, m: MonomialMatrix) -> bool:
+        # from_matrix admits no zero weight and products of nonzero field
+        # elements are nonzero, so every MonomialMatrix is invertible
+        return True
 
 
 # -- JSON interchange ------------------------------------------------------

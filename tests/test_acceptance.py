@@ -199,3 +199,21 @@ def test_criterion_12_fused_form_documentation_checks(capsys):
         report = json.loads(out)
         assert report["checks"][0]["status"] == "recorded"
         assert report["checks"][0]["detail"].startswith("result: pass")
+
+
+def test_criterion_13_all_checks_for_orders_two_three(capsys):
+    with _Budget("13 check --orders 2,3 --which all", 10.0):
+        assert main(["check", "--orders", "2,3", "--which", "all"]) == 0
+        assert "8 checks, 8 pass" in capsys.readouterr().out
+
+
+def test_criterion_14_braid_relations_on_ten_strands(capsys):
+    with _Budget("14 braid relations, 10 strands d=2", 10.0):
+        assert main(["check", "--orders", "2", "--which", "braid", "--strands", "10"]) == 0
+        assert "check braid-relations-10: pass" in capsys.readouterr().out
+
+
+def test_criterion_15_braid_relations_on_five_strands_at_dimension_six(capsys):
+    with _Budget("15 braid relations, 5 strands d=6", 30.0):
+        assert main(["check", "--orders", "6", "--which", "braid", "--strands", "5"]) == 0
+        assert "check braid-relations-5: pass" in capsys.readouterr().out

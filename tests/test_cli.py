@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfbraid.cli import main
+from hopfbraid.cli import MAX_MATRIX_ENTRIES, main, matrix_entries
 from hopfbraid.linalg import Matrix, matrix_from_json, matrix_to_json
 
 
@@ -240,3 +240,62 @@ def test_malformed_r_matrix_exits_two_with_one_line_error(tmp_path, capsys, payl
                        "--r-matrix", _write_r_matrix(tmp_path, payload))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- size guard: tested through the estimate, which allocates nothing ----------
+
+ADMITTED = [
+    # (local dimension, check, strands, path) of the largest commands the
+    # benchmark workloads and the tests run
+    (2, "hexagon", 3, "monomial"), (4, "hexagon", 3, "monomial"),
+    (6, "hexagon", 3, "monomial"), (3, "braid", 4, "monomial"),
+    (2, "braid", 6, "monomial"), (2, "braid", 10, "monomial"),
+    (6, "braid", 5, "monomial"), (12, "ybe", 3, "dense"),
+    (4, "braided-ybe", 3, "dense"), (6, "ybe", 3, "float"), (6, "hexagon", 3, "float"),
+    (3, "braid", 4, "float"), (2, "braid", 5, "dense"), (3, "braid", 3, "dense"),
+    (4, "braid", 3, "dense"), (2, "bell-actions", 3, "dense"), (6, "gen-r", 2, "dense"),
+]
+
+
+@pytest.mark.parametrize("case", ADMITTED, ids=str)
+def test_size_guard_admits_the_commands_in_use(case):
+    assert 0 <= matrix_entries(*case) <= MAX_MATRIX_ENTRIES
+
+
+def test_size_guard_estimate():
+    # dense: the square of the side; monomial: the side, but at least the
+    # d^2 x d^2 certificate
+    assert matrix_entries(2, "braid", 12, "dense") == 2 ** 24
+    assert matrix_entries(2, "braid", 12, "monomial") == 2 ** 12
+    assert matrix_entries(6, "braid", 5, "dense") == 6 ** 10
+    assert matrix_entries(64, "braided-ybe", 3, "monomial") == 64 ** 4
+    assert matrix_entries(12, "quasitriangular", 3, "dense") == 0
+    assert matrix_entries(12, "quasitriangular", 3, "float") == 12 ** 6
+    for refused in [(2, "braid", 12, "dense"), (6, "braid", 5, "dense"),
+                    (64, "braided-ybe", 3, "monomial"), (64, "gen-r", 2, "dense"),
+                    (2, "braid", 30, "monomial")]:
+        assert matrix_entries(*refused) > MAX_MATRIX_ENTRIES, refused
+
+
+def test_oversized_braid_exits_two_with_one_line_error(capsys):
+    # refused before any matrix is built
+    code, out, err = run(capsys, "braid", "--orders", "2", "--strands", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: braid would build a matrix of") and err.count("\n") == 1
+
+
+def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):
+    # not monomial in the character basis, and 6^5 is too large a dense side
+    sheared = Matrix.identity(36)
+    sheared.entries[1] = sheared.entries[0]
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(matrix_to_json(sheared)))
+    code, out, err = run(capsys, "check", "--orders", "6", "--which", "braid",
+                         "--strands", "5", "--r-matrix", str(path))
+    assert code == 2 and out == ""
+    assert "without a monomial certificate" in err and err.count("\n") == 1
+
+
+def test_size_guard_estimate_stays_cheap_for_huge_strand_counts():
+    assert matrix_entries(2, "braid", 10 ** 12, "monomial") > MAX_MATRIX_ENTRIES
+    assert matrix_entries(1, "braid", 10 ** 12, "dense") == 1

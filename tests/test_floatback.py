@@ -13,10 +13,14 @@ from hopfbraid.braidrep import (
 )
 from hopfbraid.groupalg import (
     GroupSpec,
+    TensorElement,
     check_algebraic_ybe,
     check_hopf_axioms,
     check_quasi_cocommutative,
     check_quasitriangular,
+    coproduct_on_leg,
+    counit_on_leg,
+    leg_embedding,
     specs_up_to,
     universal_r,
     universal_r_fused_phase,
@@ -101,3 +105,31 @@ def test_tensor_complex_matches_exact_gamma():
     exact = floatback.matrix_complex(regular_representation(spec).on_tensor(r))
     viafloat = floatback.tensor_complex(spec, r)
     assert np.max(np.abs(exact - viafloat)) < 1e-12
+
+
+def _kron_sum(spec, t):
+    """The definition: sum over terms of c * kron of per-leg regular images."""
+    from hopfbraid.linalg import regular_representation
+
+    rep = regular_representation(spec)
+    size = spec.dimension ** t.legs
+    out = np.zeros((size, size), dtype=complex)
+    for key, c in t.terms.items():
+        m = np.ones((1, 1))
+        for exps in key:
+            m = np.kron(m, floatback.matrix_complex(rep.on_basis(exps)))
+        out += c.to_complex() * m
+    return out
+
+
+@pytest.mark.parametrize("form", [universal_r, universal_r_fused_phase],
+                         ids=lambda f: f.__name__)
+def test_tensor_complex_scatter_matches_kron_sum(form):
+    for spec in specs_up_to(6):
+        r = form(spec)
+        elements = [counit_on_leg(r, 1), r, TensorElement(spec, 2, {})]
+        if spec.dimension <= 4:
+            elements += [coproduct_on_leg(r, 0), leg_embedding(r, 3, (0, 2))]
+        for t in elements:
+            assert np.array_equal(floatback.tensor_complex(spec, t), _kron_sum(spec, t)), \
+                (spec, t.legs)

@@ -8,11 +8,14 @@ stdout (gen-r paths are written as <out>, see _normalise).
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from hopfbraid.cli import main
+from hopfbraid.groupalg import GroupSpec
+from hopfbraid.linalg import MonomialOps, NotMonomialError, matrix_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +37,13 @@ CASES = {
     "braid_3_word_inverse.json": ["braid", "--orders", "3", "--strands", "3",
                                   "--word=-1,2,-1", "--state", "012", "--json"],
     "compare_gates.json": ["compare-gates", "--json"],
+    # the exact braid identities below are decided on monomial matrices
+    "check_4_all.json": ["check", "--orders", "4", "--which", "all", "--json"],
+    "check_22_all_fused.json": ["check", "--orders", "2,2", "--which", "all", "--form",
+                                "fused", "--json"],
+    "check_3_braid_4.json": ["check", "--orders", "3", "--which", "braid", "--strands",
+                             "4", "--json"],
+    "check_3_all.txt": ["check", "--orders", "3", "--which", "all"],
 }
 
 GEN_R_FILES = ("universal_r.json", "gamma_r.json", "flip.json", "braided_r.json")
@@ -66,3 +76,19 @@ def test_gen_r_order_three_matches_golden(tmp_path, capsys):
     assert report == (GOLDEN / "gen_r_3.txt").read_text()
     for name in GEN_R_FILES:
         assert (out_dir / name).read_text() == (GOLDEN / "gen_r_3" / name).read_text()
+
+
+def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):
+    out_dir = tmp_path / "gen"
+    assert main(["gen-r", "--orders", "2,2", "--output", str(out_dir)]) == 0
+    capsys.readouterr()
+    path = out_dir / "braided_r.json"
+    data = json.loads(path.read_text())
+    data["entries"][0] = {"order": 1, "coeffs": [[5, 4]]}  # was 1/4
+    path.write_text(json.dumps(data))
+    # the changed matrix has no monomial certificate, so the dense path decides
+    with pytest.raises(NotMonomialError):
+        MonomialOps(GroupSpec((2, 2))).matrix(matrix_from_json(data))
+    assert main(["check", "--orders", "2,2", "--which", "braided-ybe",
+                 "--r-matrix", str(path)]) == 1
+    assert "check braided-ybe: fail" in capsys.readouterr().out

@@ -1,11 +1,15 @@
-"""Property tests of the exact elimination and of field descent.
+"""Property tests of the exact elimination, of field descent and of the
+field axioms.
 
 Inverse, rank and descent share one row reduction (scalar._row_reduce);
 these tests pin it on small matrices whose entries are small integers
 times roots of unity of order 3 or 4, so products mix the two fields.
+The field axioms are checked on sums of roots of unity of mixed orders.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfbraid.linalg import EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix
-from hopfbraid.scalar import root_of_unity
+from hopfbraid.scalar import rational, root_of_unity
 
 
 @st.composite
@@ -78,3 +82,41 @@ def test_descend_undoes_lift(parts, factor):
     y = x.lift(x.order * factor).descend()
     assert y == x
     assert y.order == x.order
+
+
+# -- field axioms ---------------------------------------------------------------
+
+
+@st.composite
+def field_elements(draw):
+    """Sums of small rational multiples of roots of unity of orders 1, 3, 4
+    and 6, so operands of one test usually live in different fields."""
+    total = rational(0)
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.sampled_from((1, 3, 4, 6)))
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        total = total + c * root_of_unity(order, draw(st.integers(0, order - 1)))
+    return total
+
+
+@given(field_elements(), field_elements(), field_elements())
+def test_addition_and_multiplication_are_associative(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+
+
+@given(field_elements(), field_elements(), field_elements())
+def test_multiplication_distributes_over_addition(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@given(field_elements())
+def test_nonzero_elements_have_a_multiplicative_inverse(a):
+    if a.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.invert()
+    else:
+        inv = a.invert()
+        assert a * inv == rational(1)
+        assert inv * a == rational(1)
