@@ -21,7 +21,6 @@ from .linalg import (
     EXACT,
     Matrix,
     _action_image,
-    flip_operator,
     flip_pair,
     invert_matrix,
     regular_representation,
@@ -43,14 +42,13 @@ class BraidedRMatrix:
 
 
 def braided_r(spec: GroupSpec, r: TensorElement | None = None) -> BraidedRMatrix:
-    """flip . (regular image of r), the braided gate for a spec; r defaults
-    to universal_r(spec)."""
+    """The braided gate for a spec: braiding_map on two copies of the
+    regular representation; r defaults to universal_r(spec)."""
     if r is None:
         r = universal_r(spec)
     rep = regular_representation(spec)
-    d = spec.dimension
-    m = flip_operator(d) @ rep.on_tensor(r)
-    return BraidedRMatrix(d, m, provenance=f"orders {spec.orders}")
+    return BraidedRMatrix(spec.dimension, braiding_map(rep, rep, r),
+                          provenance=f"orders {spec.orders}")
 
 
 def _placed(m, d: int, index: int, strands: int, ops):
@@ -183,7 +181,7 @@ class ModuleAction:
 def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:
     """Matrix of the braiding V (x) W -> W (x) V induced by a two-leg
     element r: the flip composed with the action of r on V (x) W.  For two
-    copies of the regular module this is exactly braided_r's matrix."""
+    copies of the regular representation this is braided_r's matrix."""
     if v.spec != w.spec:
         raise ValueError("module actions live over different specs")
     if r.spec != v.spec or r.legs != 2:

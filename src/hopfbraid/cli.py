@@ -22,7 +22,9 @@ import json
 import re
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import floatback
 from .braidrep import (
@@ -69,27 +71,72 @@ from .quantum import (
     schmidt_rank,
 )
 
-ANCHORS = {
-    "hopf-axioms": "coassociativity, counit laws, antipode law on the group-like basis",
-    "quasi-cocommutativity": "Dop(x) R = R D(x) for every basis element x",
-    "quasitriangular-coproducts": "(D x id)(R) = R13 R23 and (id x D)(R) = R13 R12",
-    "algebraic-ybe": "R12 R13 R23 = R23 R13 R12 in the triple tensor power",
-    "braided-ybe": "(R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')",
-    "braid-relations": "far commutation and adjacent braid relations",
-    "module-morphism": "the braiding intertwines the diagonal action and is invertible",
-    "hexagon": "hexagon identity for the braiding on three regular modules",
-    "bell-actions": "phi+ -> psi+, psi+ -> phi+, phi- -> phi-, psi- -> -psi- with exact signs",
-    "unitary": "M Mdag = I",
-    "entangling-probe": "concurrence of the image of (|0>+|1>) (x) (|0>+|1>)",
-    "bell-basis": "all four Bell mappings hold exactly",
+STRANDS = "strands"  # legs of a choice whose largest matrix acts on --strands strands
+
+
+class Check(NamedTuple):
+    """One reported identity: ``decide(inputs, ops)`` applies its checker to
+    what ``on`` names (the spec, r, R' or the regular module).  In the fused
+    form every check not on the spec alone is "recorded"."""
+
+    name: str
+    anchor: str
+    on: str
+    decide: Callable
+
+
+class Choice(NamedTuple):
+    """A --which choice: its checks in report order, the legs of its largest
+    matrix (None: tensor elements only), whether it acts on R' (so
+    --r-matrix sets its local dimension), whether the exact backend tries
+    MonomialOps on it, and the local dimension it requires, if any."""
+
+    checks: tuple
+    legs: int | str | None = None
+    on_r_prime: bool = False
+    monomial: bool = False
+    requires_d: int | None = None
+
+
+# The --which choices in the order "all" runs them.  The checkers are looked
+# up when they run, so a wrapper installed on this module's names sees them.
+CHOICES = {
+    "hopf": Choice((
+        Check("hopf-axioms", "coassociativity, counit laws, antipode law on the group-like basis",
+              "spec", lambda x, ops: check_hopf_axioms(x.spec, ops)),
+    )),
+    "quasitriangular": Choice((
+        Check("quasi-cocommutativity", "Dop(x) R = R D(x) for every basis element x",
+              "r", lambda x, ops: check_quasi_cocommutative(x.spec, x.r, ops)),
+        Check("quasitriangular-coproducts", "(D x id)(R) = R13 R23 and (id x D)(R) = R13 R12",
+              "r", lambda x, ops: check_quasitriangular(x.spec, x.r, ops)),
+    )),
+    "ybe": Choice((
+        Check("algebraic-ybe", "R12 R13 R23 = R23 R13 R12 in the triple tensor power",
+              "r", lambda x, ops: check_algebraic_ybe(x.spec, x.r, ops)),
+    )),
+    "braided-ybe": Choice((
+        Check("braided-ybe", "(R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')",
+              "R'", lambda x, ops: check_braid_relations(3, x.braided, ops)),
+    ), legs=3, on_r_prime=True, monomial=True),
+    "braid": Choice((
+        Check("braid-relations-{strands}",
+              "far commutation and adjacent braid relations on {strands} strands",
+              "R'", lambda x, ops: check_braid_relations(x.strands, x.braided, ops)),
+    ), legs=STRANDS, on_r_prime=True, monomial=True),
+    "hexagon": Choice((
+        Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
+              "module", lambda x, ops: check_module_morphism(
+                  braiding_map(x.module, x.module, x.r), x.module, x.module, ops)),
+        Check("hexagon", "hexagon identity for the braiding on three regular modules",
+              "module", lambda x, ops: check_hexagon(x.module, x.module, x.module, x.r, ops)),
+    ), legs=3, monomial=True),
+    "bell-actions": Choice((
+        Check("bell-actions",
+              "phi+ -> psi+, psi+ -> phi+, phi- -> phi-, psi- -> -psi- with exact signs",
+              "R'", lambda x, ops: check_bell_actions(x.braided, ops)),
+    ), legs=2, on_r_prime=True, requires_d=2),
 }
-
-WHICH_CHOICES = ("hopf", "quasitriangular", "ybe", "braided-ybe", "braid",
-                 "hexagon", "bell-actions", "all")
-
-# checks that the exact backend runs on MonomialOps when every matrix they
-# lift certifies as monomial in the character basis
-MONOMIAL_CHECKS = ("braided-ybe", "braid", "hexagon")
 
 # Size guard: a command may hold no matrix of more than this many exact
 # entries.  A dense n x n matrix holds n*n entries (so dense sides up to
@@ -105,10 +152,11 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     and for ``gen-r`` with "gen-r".  Exact algebra-level checks multiply
     tensor elements and build no matrix; the float backend lifts their
     three-leg tensors into d^3-sided matrices."""
-    legs = {"gen-r": 2, "bell-actions": 2, "braided-ybe": 3, "hexagon": 3,
-            "braid": strands}.get(which)
+    legs = 2 if which == "gen-r" else CHOICES[which].legs
     if legs is None:
         return d ** 6 if path == "float" else 0
+    if legs == STRANDS:
+        legs = strands
     # past 64 legs every d > 1 is refused; the cap keeps the estimate cheap
     side = d ** min(max(legs, 2), 64)
     return max(d ** 4, side if path == "monomial" else side * side)
@@ -121,7 +169,7 @@ def _admit(entries: int, what: str):
 
 
 class Report:
-    def __init__(self, command: str, backend: str, timings: bool):
+    def __init__(self, command: str, backend: str, timings: bool = False):
         self.command = command
         self.backend = backend
         self.timings = timings
@@ -200,18 +248,12 @@ def _build_r(spec: GroupSpec, form: str):
     return universal_r(spec) if form == "product" else universal_r_fused_phase(spec)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    ok = fn()
-    return ok, time.perf_counter() - t0
-
-
 # -- gen-r -------------------------------------------------------------------
 
 
 def cmd_gen_r(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(" ".join(argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend)
     _admit(matrix_entries(spec.dimension, "gen-r", 2, "dense"), "gen-r")
     r = _build_r(spec, args.form)
     rep = regular_representation(spec)
@@ -245,21 +287,38 @@ def cmd_gen_r(args, argv) -> int:
 # -- check -------------------------------------------------------------------
 
 
+class _Inputs:
+    """What the checks of one ``check`` command are applied to, each built
+    on first use, so a command builds only what its selected checks read."""
+
+    def __init__(self, spec: GroupSpec, args, external: BraidedRMatrix | None):
+        self.spec, self.form, self.strands, self.external = spec, args.form, args.strands, external
+
+    @cached_property
+    def r(self):
+        return _build_r(self.spec, self.form)
+
+    @cached_property
+    def braided(self) -> BraidedRMatrix:
+        return self.external if self.external is not None else braided_r(self.spec, self.r)
+
+    @cached_property
+    def module(self) -> ModuleAction:
+        return ModuleAction.regular(self.spec)
+
+
 def cmd_check(args, argv) -> int:
     spec = _parse_orders(args.orders)
     d = spec.dimension
-    recorded = args.form == "fused"
     report = Report(" ".join(argv), args.backend, args.timings)
-    tol = args.tolerance
+    use_float = args.backend == "float"
 
-    if args.which == "bell-actions" and d != 2:
-        raise ValueError("bell-actions requires local dimension 2 (orders product = 2)")
-
-    selected = [args.which] if args.which != "all" else [
-        w for w in ("hopf", "quasitriangular", "ybe", "braided-ybe", "braid",
-                    "hexagon", "bell-actions")
-        if w != "bell-actions" or d == 2
-    ]
+    selected = [w for w, choice in CHOICES.items()
+                if args.which in ("all", w) and choice.requires_d in (None, d)]
+    if not selected:
+        need = CHOICES[args.which].requires_d
+        raise ValueError(f"{args.which} requires local dimension {need} "
+                         f"(orders product = {need})")
 
     external = None
     if args.r_matrix:
@@ -270,86 +329,42 @@ def cmd_check(args, argv) -> int:
             raise ValueError("imported matrix is not d^2 x d^2")
         external = BraidedRMatrix(side, m, provenance=f"file {args.r_matrix}")
 
-    use_float = args.backend == "float"
-
-    def local_dim(which):
-        on_r_prime = which in ("braided-ybe", "braid", "bell-actions")
-        return external.dimension if external is not None and on_r_prime else d
-
-    def path(which):
-        if use_float:
-            return "float"
-        return "monomial" if which in MONOMIAL_CHECKS else "dense"
+    def plan(which):
+        """(local dimension, path); MonomialOps certifies only at the spec's d."""
+        choice = CHOICES[which]
+        side = external.dimension if external is not None and choice.on_r_prime else d
+        return side, ("float" if use_float else
+                      "monomial" if choice.monomial and side == d else "dense")
 
     for which in selected:
-        _admit(matrix_entries(local_dim(which), which, args.strands, path(which)),
-               f"check --which {which}")
+        side, path = plan(which)
+        _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}")
 
-    need_r = any(w != "hopf" for w in selected)
-    r = _build_r(spec, args.form) if need_r else None
-    braided = None
+    inputs = _Inputs(spec, args, external)
+    ops = floatback.NumpyOps(args.tolerance) if use_float else EXACT
+    monomial = MonomialOps(spec) if any(plan(w)[1] == "monomial" for w in selected) else None
 
-    def get_braided():
-        nonlocal braided
-        if braided is None:
-            braided = external if external is not None else braided_r(spec, r)
-        return braided
-
-    ops = floatback.NumpyOps(tol) if use_float else EXACT
-    monomial = None
-
-    def verdict(which, check, check_args):
-        nonlocal monomial
-        if path(which) == "monomial":
-            if monomial is None:
-                monomial = MonomialOps(spec)
+    def verdict(which, check):
+        side, path = plan(which)
+        if path == "monomial":
             try:
-                return check(*check_args, monomial)
+                return check.decide(inputs, monomial)
             except NotMonomialError:
                 # no certificate: the dense oracle decides
-                _admit(matrix_entries(local_dim(which), which, args.strands, "dense"),
+                _admit(matrix_entries(side, which, args.strands, "dense"),
                        f"check --which {which} without a monomial certificate")
-        return check(*check_args, ops)
+        return check.decide(inputs, ops)
 
-    def run(which, name, anchor, rec, check, *check_args):
-        ok, dt = _timed(lambda: verdict(which, check, check_args))
-        detail = f"float backend, tolerance {tol:g}" if use_float else ""
-        if rec:
-            status = "recorded"
-            note = f"result: {'pass' if ok else 'fail'}"
-            detail = f"{note}; {detail}" if detail else note
-        else:
-            status = "pass" if ok else "fail"
-        report.add_check(name, anchor, status, detail, dt)
-
+    detail = f"float backend, tolerance {args.tolerance:g}" if use_float else ""
     for which in selected:
-        if which == "hopf":
-            run(which, "hopf-axioms", ANCHORS["hopf-axioms"], False, check_hopf_axioms, spec)
-        elif which == "quasitriangular":
-            run(which, "quasi-cocommutativity", ANCHORS["quasi-cocommutativity"], recorded,
-                check_quasi_cocommutative, spec, r)
-            run(which, "quasitriangular-coproducts", ANCHORS["quasitriangular-coproducts"],
-                recorded, check_quasitriangular, spec, r)
-        elif which == "ybe":
-            run(which, "algebraic-ybe", ANCHORS["algebraic-ybe"], recorded,
-                check_algebraic_ybe, spec, r)
-        elif which == "braided-ybe":
-            run(which, "braided-ybe", ANCHORS["braided-ybe"], recorded,
-                check_braid_relations, 3, get_braided())
-        elif which == "braid":
-            strands = args.strands
-            run(which, f"braid-relations-{strands}",
-                f"{ANCHORS['braid-relations']} on {strands} strands", recorded,
-                check_braid_relations, strands, get_braided())
-        elif which == "hexagon":
-            reg = ModuleAction.regular(spec)
-            run(which, "module-morphism", ANCHORS["module-morphism"], recorded,
-                check_module_morphism, braiding_map(reg, reg, r), reg, reg)
-            run(which, "hexagon", ANCHORS["hexagon"], recorded, check_hexagon, reg, reg, reg, r)
-        elif which == "bell-actions":
-            run(which, "bell-actions", ANCHORS["bell-actions"], recorded,
-                check_bell_actions, get_braided())
-
+        for check in CHOICES[which].checks:
+            t0 = time.perf_counter()
+            status, note = ("pass" if verdict(which, check) else "fail"), detail
+            seconds = time.perf_counter() - t0
+            if args.form == "fused" and check.on != "spec":
+                status, note = "recorded", "; ".join(filter(None, [f"result: {status}", detail]))
+            report.add_check(check.name.format(strands=args.strands),
+                             check.anchor.format(strands=args.strands), status, note, seconds)
     return report.emit(args.json)
 
 
@@ -358,7 +373,7 @@ def cmd_check(args, argv) -> int:
 
 def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(" ".join(argv), args.backend, args.timings)
+    report = Report(" ".join(argv), args.backend)
     word = BraidWord(args.strands, _parse_word(args.word))
     _admit(matrix_entries(spec.dimension, "braid", word.strands, "dense"), "braid")
     gate = braided_r(spec)
@@ -407,39 +422,28 @@ def _parse_state(text: str, d: int, n: int) -> StateVector:
 
 
 def cmd_compare_gates(args, argv) -> int:
-    report = Report(" ".join(argv), args.backend, args.timings)
-    one = 1
-    gates = [
+    report = Report(" ".join(argv), args.backend)
+    report.add_info(f"{'gate':<16} {'braided-ybe':<12} {'unitary':<8} {'bell-basis':<11} "
+                    "probe-concurrence")
+    probe = StateVector(2, 2, [1, 1, 1, 1])
+    for name, matrix in [
         ("braided-r(2)", braided_r(GroupSpec((2,))).matrix),
-        ("kl(1,1,1,1)", kauffman_lomonaco_r(one, one, one, one)),
-        ("kl(1,-1,1,1)", kauffman_lomonaco_r(one, -one, one, one)),
+        ("kl(1,1,1,1)", kauffman_lomonaco_r(1, 1, 1, 1)),
+        ("kl(1,-1,1,1)", kauffman_lomonaco_r(1, -1, 1, 1)),
         ("bell-matrix", bell_matrix()),
-    ]
-    rows = []
-    for name, matrix in gates:
-        wrapped = BraidedRMatrix(2, matrix, provenance=name)
-        ybe = check_braid_relations(3, wrapped)
-        unitary = matrix @ conjugate_transpose(matrix) == Matrix.identity(4)
-        bell_ok = check_bell_actions(matrix)
-        probe = StateVector(2, 2, [1, 1, 1, 1])
+    ]:
+        ybe = "pass" if check_braid_relations(3, BraidedRMatrix(2, matrix, name)) else "fail"
+        unitary = "yes" if matrix @ conjugate_transpose(matrix) == Matrix.identity(4) else "no"
+        bell = "yes" if check_bell_actions(matrix) else "no"
         value = concurrence(apply_gate(matrix, probe))
-        rows.append((name, ybe, unitary, bell_ok, value))
-        report.add_check(f"{name}:braided-ybe", ANCHORS["braided-ybe"], "recorded",
-                         f"result: {'pass' if ybe else 'fail'}")
-        report.add_check(f"{name}:unitary", ANCHORS["unitary"], "recorded",
-                         f"result: {'yes' if unitary else 'no'}")
-        report.add_check(f"{name}:bell-basis", ANCHORS["bell-basis"], "recorded",
-                         f"result: {'yes' if bell_ok else 'no'}")
-        report.add_check(f"{name}:entangling-probe", ANCHORS["entangling-probe"],
-                         "recorded", f"concurrence {value:.6f}")
-
-    header = f"{'gate':<16} {'braided-ybe':<12} {'unitary':<8} {'bell-basis':<11} probe-concurrence"
-    report.add_info(header)
-    for name, ybe, unitary, bell_ok, value in rows:
-        report.add_info(
-            f"{name:<16} {('pass' if ybe else 'fail'):<12} "
-            f"{('yes' if unitary else 'no'):<8} {('yes' if bell_ok else 'no'):<11} {value:.6f}"
-        )
+        report.add_info(f"{name:<16} {ybe:<12} {unitary:<8} {bell:<11} {value:.6f}")
+        for check, anchor, note in (
+                ("braided-ybe", CHOICES["braided-ybe"].checks[0].anchor, f"result: {ybe}"),
+                ("unitary", "M Mdag = I", f"result: {unitary}"),
+                ("bell-basis", "all four Bell mappings hold exactly", f"result: {bell}"),
+                ("entangling-probe", "concurrence of the image of (|0>+|1>) (x) (|0>+|1>)",
+                 f"concurrence {value:.6f}")):
+            report.add_check(f"{name}:{check}", anchor, "recorded", note)
     return report.emit(args.json)
 
 
@@ -450,12 +454,7 @@ def _add_common(sub):
     sub.add_argument("--backend", choices=("exact", "float"), default="exact",
                      help="exact cyclotomic arithmetic (default) or the "
                           "floating cross-check backend")
-    sub.add_argument("--tolerance", type=float, default=floatback.DEFAULT_TOL,
-                     help="absolute entrywise tolerance for the float backend")
     sub.add_argument("--json", action="store_true", help="machine readable report")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall times (off by default so reports are "
-                          "byte-for-byte reproducible)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,14 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = subs.add_parser("check", help="run exact identity checkers")
     chk.add_argument("--orders", required=True, help="comma separated cyclic orders")
-    chk.add_argument("--which", choices=WHICH_CHOICES, default="all")
+    chk.add_argument("--which", choices=(*CHOICES, "all"), default="all")
     chk.add_argument("--form", choices=("product", "fused"), default="product",
                      help="fused-form checks are reported as 'recorded' and never "
                           "affect the exit code")
     chk.add_argument("--strands", type=int, default=3,
                      help="strand count for the braid-relations check")
-    chk.add_argument("--r-matrix", default=None,
-                     help="JSON matrix file to use as R' for braided-ybe/braid checks")
+    chk.add_argument("--r-matrix", default=None, help="JSON matrix file to use as R' in the "
+                     + "/".join(w for w, c in CHOICES.items() if c.on_r_prime) + " checks")
+    chk.add_argument("--tolerance", type=float, default=floatback.DEFAULT_TOL,
+                     help="absolute entrywise tolerance for the float backend")
+    chk.add_argument("--timings", action="store_true",
+                     help="include wall times (off by default so reports are "
+                          "byte-for-byte reproducible)")
     _add_common(chk)
     chk.set_defaults(func=cmd_check)
 

@@ -77,4 +77,5 @@ class NumpyOps:
         return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= self.tol)
 
     def invertible(self, m: np.ndarray) -> bool:
-        return bool(abs(np.linalg.det(m)) > self.tol)
+        # the smallest singular value: |det| of a well-conditioned matrix can be far below tol
+        return bool(np.linalg.svd(m, compute_uv=False)[-1] > self.tol)

@@ -116,14 +116,6 @@ class CyclotomicNumber:
 
     # -- construction ------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "CyclotomicNumber":
-        return rational(0)
-
-    @classmethod
-    def one(cls) -> "CyclotomicNumber":
-        return rational(1)
-
     def lift(self, order: int) -> "CyclotomicNumber":
         """The same value rewritten in Q(zeta_order); order must be a multiple."""
         if order == self.order:

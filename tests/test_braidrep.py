@@ -22,7 +22,8 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import Matrix, conjugate_transpose, flip_operator, kron
+from hopfbraid.linalg import (Matrix, conjugate_transpose, flip_operator, kron,
+                              regular_representation)
 from hopfbraid.scalar import rational, root_of_unity
 
 S2 = GroupSpec((2,))
@@ -144,6 +145,19 @@ def test_module_action_regular_validates():
     broken = dict(action._matrices)
     broken[(1, 1)] = Matrix.zeros(4, 4)
     assert not ModuleAction(action.spec, broken).validate()
+
+
+@pytest.mark.parametrize("make_r", [universal_r, universal_r_fused_phase],
+                         ids=["universal_r", "universal_r_fused_phase"])
+def test_braided_r_is_the_flip_times_the_regular_image(make_r):
+    # the route gen-r exports (gamma(r) and the flip separately); the same
+    # entries in the same representation, so exported JSON is unchanged
+    for spec in specs_up_to(6):
+        r = make_r(spec)
+        expected = flip_operator(spec.dimension) @ regular_representation(spec).on_tensor(r)
+        got = braided_r(spec, r).matrix
+        assert [(e.order, e.coeffs) for e in got.entries] == \
+            [(e.order, e.coeffs) for e in expected.entries], spec
 
 
 def test_braiding_map_on_regular_modules_matches_braided_r():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hopfbraid.cli import MAX_MATRIX_ENTRIES, main, matrix_entries
+import hopfbraid
+from hopfbraid import cli
+from hopfbraid.cli import CHOICES, MAX_MATRIX_ENTRIES, main, matrix_entries
 from hopfbraid.linalg import Matrix, matrix_from_json, matrix_to_json
 
 
@@ -210,6 +216,18 @@ def test_usage_error_exit_code(capsys):
     assert main(["check", "--orders", "2", "--which", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["braid", "--orders", "2", "--strands", "2", "--timings"],
+    ["braid", "--orders", "2", "--strands", "2", "--tolerance", "1e-6"],
+    ["gen-r", "--orders", "2", "--output", "<tmp>", "--timings"],
+    ["compare-gates", "--tolerance", "1e-6"],
+], ids=["braid-timings", "braid-tolerance", "gen-r-timings", "compare-gates-tolerance"])
+def test_check_only_options_are_refused_elsewhere(argv, tmp_path, capsys):
+    # only check reads --timings and --tolerance
+    assert main([str(tmp_path) if a == "<tmp>" else a for a in argv]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_timings_flag_adds_seconds(capsys):
     code, out, _ = run(capsys, "check", "--orders", "2", "--which", "ybe",
                        "--timings", "--json")
@@ -299,3 +317,63 @@ def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path,
 def test_size_guard_estimate_stays_cheap_for_huge_strand_counts():
     assert matrix_entries(2, "braid", 10 ** 12, "monomial") > MAX_MATRIX_ENTRIES
     assert matrix_entries(1, "braid", 10 ** 12, "dense") == 1
+
+
+# -- the check table -----------------------------------------------------------
+
+
+def _names_and_statuses(capsys, *args):
+    code, out, _ = run(capsys, "check", "--orders", "2", *args, "--json")
+    return code, [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_each_choice_reports_its_slice_of_the_all_report(capsys, backend):
+    code, everything = _names_and_statuses(capsys, "--which", "all", "--backend", backend)
+    assert code == 0 and len(everything) == 9
+    start = 0
+    for which, choice in CHOICES.items():
+        code, part = _names_and_statuses(capsys, "--which", which, "--backend", backend)
+        assert code == 0
+        assert part == everything[start:start + len(choice.checks)], which
+        start += len(choice.checks)
+    assert start == len(everything)
+
+
+@pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])
+def test_algebra_choices_build_no_braided_matrix(monkeypatch, capsys, which):
+    def refuse(*args):
+        raise AssertionError("built a matrix an algebra-level check does not read")
+
+    for name in ("braided_r", "braiding_map", "MonomialOps"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(capsys, "check", "--orders", "2,2", "--which", which)[0] == 0
+
+
+def test_imported_r_matrix_builds_no_universal_r(monkeypatch, tmp_path, capsys):
+    assert main(["gen-r", "--orders", "2", "--output", str(tmp_path)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("built r for a check that reads only the imported R'")
+
+    monkeypatch.setattr(cli, "_build_r", refuse)
+    code, out, _ = run(capsys, "check", "--orders", "2", "--which", "braided-ybe",
+                       "--r-matrix", str(tmp_path / "braided_r.json"))
+    assert code == 0 and "braided-ybe: pass" in out
+
+
+def test_r_matrix_of_another_side_is_checked_at_its_own_side(tmp_path, capsys):
+    # A 4x4 R' checked under orders 64: the guard prices the dense path at
+    # side 2, so the command must not certify at d = 64 (a 64x64 DFT over
+    # Q(zeta_64), then d^4-entry factors).  A subprocess, so a hang shows as
+    # a timeout, not as a stalled suite.
+    assert main(["gen-r", "--orders", "2", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    src = str(Path(hopfbraid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "hopfbraid", "check", "--orders", "64",
+                           "--which", "braided-ybe", "--r-matrix",
+                           str(tmp_path / "braided_r.json")],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "check braided-ybe: pass" in done.stdout

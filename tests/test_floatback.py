@@ -25,7 +25,7 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import EXACT, Matrix, flip_operator
+from hopfbraid.linalg import EXACT, Matrix, MonomialOps, flip_operator
 from hopfbraid.quantum import check_bell_actions
 
 FLOAT = floatback.NumpyOps()
@@ -61,6 +61,11 @@ def test_float_backend_agrees_with_exact_on_small_specs(make_r):
         assert _algebra_verdicts(spec, r, FLOAT) == _algebra_verdicts(spec, r, EXACT)
         if spec.dimension <= 4:
             assert _matrix_verdicts(spec, r, FLOAT) == _matrix_verdicts(spec, r, EXACT)
+    # the fused-form braiding for orders 2,3 has |det| about 2e-17 but smallest
+    # singular value 1/6: invertible, which a determinant test within tol misses
+    spec = GroupSpec((2, 3))
+    r = make_r(spec)
+    assert _matrix_verdicts(spec, r, FLOAT) == _matrix_verdicts(spec, r, MonomialOps(spec))
 
 
 def test_float_backend_flags_fused_form_failure():

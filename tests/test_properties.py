@@ -1,10 +1,11 @@
-"""Property tests of the exact elimination, of field descent and of the
-field axioms.
+"""Property tests of the exact elimination, of field descent and lift, of
+the field axioms, and of exact matrix products against numpy.
 
 Inverse, rank and descent share one row reduction (scalar._row_reduce);
 these tests pin it on small matrices whose entries are small integers
 times roots of unity of order 3 or 4, so products mix the two fields.
-The field axioms are checked on sums of roots of unity of mixed orders.
+The field axioms and lift are checked on sums of roots of unity of mixed
+orders.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfbraid.linalg import EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix
+from hopfbraid.floatback import matrix_complex
+from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix,
+                              kron)
 from hopfbraid.scalar import rational, root_of_unity
 
 
@@ -120,3 +123,49 @@ def test_nonzero_elements_have_a_multiplicative_inverse(a):
         inv = a.invert()
         assert a * inv == rational(1)
         assert inv * a == rational(1)
+
+
+# -- lift on its own -------------------------------------------------------------
+
+
+@given(field_elements(), st.integers(1, 4), st.integers(1, 3))
+def test_lift_keeps_the_value_and_composes(x, k, j):
+    once = x.lift(x.order * k)
+    assert once.order == x.order * k
+    assert once == x
+    assert abs(once.to_complex() - x.to_complex()) < 1e-12
+    # lifting in two steps gives the very representation of one step
+    twice = once.lift(x.order * k * j)
+    direct = x.lift(x.order * k * j)
+    assert (twice.order, twice.coeffs) == (direct.order, direct.coeffs)
+
+
+# -- exact against float ---------------------------------------------------------
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two random exact matrices of one side."""
+    a = draw(square_matrices())
+    n = a.rows
+    return a, Matrix(n, n, draw(st.lists(scalars(), min_size=n * n, max_size=n * n)))
+
+
+@given(matrix_pairs())
+def test_exact_product_matches_numpy(pair):
+    a, b = pair
+    assert np.allclose(matrix_complex(a @ b), matrix_complex(a) @ matrix_complex(b),
+                       rtol=0, atol=1e-9)
+
+
+@given(square_matrices(), square_matrices())
+def test_exact_kron_matches_numpy(a, b):
+    assert np.allclose(matrix_complex(kron(a, b)),
+                       np.kron(matrix_complex(a), matrix_complex(b)), rtol=0, atol=1e-9)
+
+
+@given(square_matrices())
+def test_exact_inverse_matches_numpy_at_full_rank(a):
+    if exact_rank(a) == a.rows:
+        assert np.allclose(matrix_complex(invert_matrix(a)),
+                           np.linalg.inv(matrix_complex(a)), rtol=0, atol=1e-9)
