@@ -110,11 +110,11 @@ CHOICES = {
               "r", lambda x, ops: check_quasi_cocommutative(x.spec, x.r, ops)),
         Check("quasitriangular-coproducts", "(D x id)(R) = R13 R23 and (id x D)(R) = R13 R12",
               "r", lambda x, ops: check_quasitriangular(x.spec, x.r, ops)),
-    )),
+    ), monomial=True),
     "ybe": Choice((
         Check("algebraic-ybe", "R12 R13 R23 = R23 R13 R12 in the triple tensor power",
               "r", lambda x, ops: check_algebraic_ybe(x.spec, x.r, ops)),
-    )),
+    ), monomial=True),
     "braided-ybe": Choice((
         Check("braided-ybe", "(R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')",
               "R'", lambda x, ops: check_braid_relations(3, x.braided, ops)),
@@ -142,16 +142,19 @@ CHOICES = {
 # entries.  A dense n x n matrix holds n*n entries (so dense sides up to
 # 512 are admitted), a monomial one n.
 MAX_MATRIX_ENTRIES = 1 << 18
+# ... and no character transform of more than this many integer cells
+# (orders of dimension up to 26 for the algebra-level checks).
+MAX_TRANSFORM_CELLS = 1 << 19
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     """Cost estimate of one check (a --which choice other than "all") at
     local dimension d: the entries of the largest matrix it builds, where
-    path is "dense" (exact), "monomial" (MonomialOps, after a dense d^2
+    path is "dense" (exact), "monomial" (MonomialOps, after a d^2 x d^2
     certificate) or "float" (numpy).  Also used for ``braid`` with "braid"
-    and for ``gen-r`` with "gen-r".  Exact algebra-level checks multiply
-    tensor elements and build no matrix; the float backend lifts their
-    three-leg tensors into d^3-sided matrices."""
+    and for ``gen-r`` with "gen-r".  Exact algebra-level checks build no
+    matrix (see transform_cells); the float backend lifts their three-leg
+    tensors into d^3-sided matrices."""
     legs = 2 if which == "gen-r" else CHOICES[which].legs
     if legs is None:
         return d ** 6 if path == "float" else 0
@@ -162,10 +165,22 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     return max(d ** 4, side if path == "monomial" else side * side)
 
 
-def _admit(entries: int, what: str):
+def transform_cells(d: int, which: str, path: str) -> int:
+    """Cost estimate of an algebra-level check on the monomial path: the
+    integer cells of its largest character transform, the d^3 diagonal
+    entries of a three-leg element, each a vector over at most d powers of
+    zeta.  0 for every other check and path (the dense exact algebra-level
+    checks multiply sparse tensor elements)."""
+    return d ** 4 if CHOICES[which].legs is None and path == "monomial" else 0
+
+
+def _admit(entries: int, what: str, cells: int = 0):
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
                          f"limit of {MAX_MATRIX_ENTRIES}")
+    if cells > MAX_TRANSFORM_CELLS:
+        raise ValueError(f"{what} would transform {cells} integer cells, above the "
+                         f"limit of {MAX_TRANSFORM_CELLS}")
 
 
 class Report:
@@ -338,7 +353,8 @@ def cmd_check(args, argv) -> int:
 
     for which in selected:
         side, path = plan(which)
-        _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}")
+        _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
+               transform_cells(side, which, path))
 
     inputs = _Inputs(spec, args, external)
     ops = floatback.NumpyOps(args.tolerance) if use_float else EXACT

@@ -399,9 +399,11 @@ class ExactAlgebraOps:
       do the same for matrices (see linalg.ExactOps).
 
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
-    the identity, products are taken in the tensor-power algebra and
-    equality is exact; floatback.NumpyOps lifts into numpy instead, and
-    linalg.MonomialOps into monomial matrices in the character basis.
+    the identity, products are taken in the tensor-power algebra (one
+    scalar product per pair of terms) and equality is exact; this is the
+    oracle.  floatback.NumpyOps lifts a tensor into its regular image in
+    numpy instead, and linalg.MonomialOps into the diagonal of that image
+    in the character basis, where products are pointwise.
     """
 
     def tensor(self, t: TensorElement) -> TensorElement:

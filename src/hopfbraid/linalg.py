@@ -5,30 +5,37 @@ indices always put the first tensor factor in the most significant
 position.
 
 Two exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
-``EXACT`` works on dense ``Matrix`` objects and is the oracle;
-``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
-character basis of the spec.  It admits a matrix only after computing its
-conjugate by the character basis exactly and finding one nonzero entry in
-every row and column (the certificate), and raises NotMonomialError
-otherwise, so a caller can fall back to ``EXACT``.
+``EXACT`` works on dense ``Matrix`` objects and tensor elements and is the
+oracle; ``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
+character basis of the spec.  There a tensor element is the diagonal of
+its regular image, and a matrix is admitted only after its conjugate by
+the character basis has been computed exactly and found to hold one
+nonzero entry in every row and column (the certificate); otherwise
+NotMonomialError is raised, so a caller can fall back to ``EXACT``.
 
 Each exact linear-algebra job has one implementation.  ``_action_image``
 is the one action routine: every regular image (``on_element``,
 ``on_tensor``) and every braiding map (braidrep) is the matrix of a tensor
-element acting on a tensor product of modules.  ``scalar._row_reduce`` is
-the one elimination: inverse, rank and field descent all call it.  It
-takes the first nonzero pivot in each column; exact arithmetic needs no
-magnitude pivoting and this keeps every result deterministic.
+element acting on a tensor product of modules.  ``character_transform``
+is the one change to the character basis: both the diagonals and the
+certificates of MonomialOps call it.  ``scalar._row_reduce`` is the one
+elimination: inverse, rank and field descent all call it.  It takes the
+first nonzero pivot in each column; exact arithmetic needs no magnitude
+pivoting and this keeps every result deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
+
+import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
                        as_single_leg)
-from .scalar import CyclotomicNumber, _row_reduce, as_scalar, rational, root_of_unity
+from .scalar import (CyclotomicNumber, _power_residues, _row_reduce, as_scalar, rational,
+                     root_of_unity)
 
 
 class SingularMatrixError(ValueError):
@@ -315,6 +322,99 @@ class ExactOps(ExactAlgebraOps):
 EXACT = ExactOps()
 
 
+# -- the character basis --------------------------------------------------
+
+
+def character_basis(n: int) -> Matrix:
+    """The character basis of the regular module of Z/n: F[j, c] = zeta_n^(j c),
+    one character per column.  character_transform multiplies by these
+    same powers without building F."""
+    return Matrix(n, n, [root_of_unity(n, j * c) for j in range(n) for c in range(n)])
+
+
+def check_character_basis(n: int, f: Matrix) -> bool:
+    """The proof obligation of character_transform for one cyclic factor of
+    order n: rho(g) F = F diag(zeta_n^(-c)), so the transform with sign -1
+    is conjugation of the regular action by F, and F conj(F)^T = n I, so
+    F^-1 is conj(F)^T / n, the transform with sign -1 and scale n.
+
+    Given the first identity, F conj(F)^T commutes with rho(g) (the diagonal
+    is unitary), so it is circulant and its first row decides the second."""
+    diag = Matrix(n, n, [root_of_unity(n, -c) if j == c else 0
+                         for j in range(n) for c in range(n)])
+    if cyclic_shift(n) @ f != f @ diag:
+        return False
+    first = Matrix(1, n, f.entries[:n]) @ f.conjugate_transpose()
+    return first == Matrix(1, n, [n] + [0] * (n - 1))
+
+
+def _transform_first_axis(arr, n: int, sign: int, big: int):
+    """(n, rest, big) -> (rest, n, big): out[c] = sum_a in[a] * zeta_n^(sign a c),
+    each value a vector over the powers of zeta_big, so that multiplying by
+    a root of unity rotates it."""
+    out = np.zeros((arr.shape[1], n, big), dtype=arr.dtype)
+    powers = np.arange(big)
+    turns = sign * (big // n) * np.arange(n)[:, None]
+    for a in range(n):
+        slab = arr[a]
+        if slab.any():
+            out += slab[:, (powers - a * turns) % big]
+    return out
+
+
+def character_transform(shape, signs, entries, scale: int = 1) -> list[CyclotomicNumber]:
+    """The separable character transform of a sparse coefficient array, exactly.
+
+    ``entries`` holds (flat index, value) pairs of an array of the given
+    shape, one axis per cyclic factor, row-major (so a composite index puts
+    its first factor in the most significant position); missing entries
+    are 0.  Returns, in the same order, the entries
+
+        out[c] = (1/scale) * sum_a in[a] * prod_x zeta_(n_x)^(signs[x] a_x c_x).
+
+    One axis is transformed at a time.  Each value is held as an integer
+    vector over the L powers of zeta_L, L the lcm of the axis lengths and
+    the value orders, with one common denominator, so that multiplying by a
+    root of unity is a rotation; each output is reduced to a
+    CyclotomicNumber once, at the end.  Integers stay int64 when a bound on
+    every partial sum fits, and are Python integers otherwise.
+    """
+    entries = [(i, v) for i, v in entries if not v.is_zero]
+    size = prod(shape)
+    big = lcm(*shape, *(v.order for _, v in entries))
+    denom = lcm(*(c.denominator for _, v in entries for c in v.coeffs))
+    cells, powers, ints = [], [], []
+    for i, v in entries:
+        step = big // v.order
+        for k, c in enumerate(v.coeffs):
+            if c:
+                cells.append(i)
+                powers.append(k * step)
+                ints.append(c.numerator * (denom // c.denominator))
+    table = _power_residues(big, big - 1)[:big]  # x^k mod the cyclotomic polynomial
+    # an axis of length n multiplies the largest integer by at most n, the
+    # reduction by at most big times the largest residue
+    bound = max(map(abs, ints), default=0) * size * big * max(abs(r) for row in table for r in row)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    arr = np.zeros((size, big), dtype=dtype)
+    arr[cells, powers] = np.array(ints, dtype=dtype)
+    for n, sign in zip(shape, signs):
+        # each pass moves its axis behind the others, so all passes restore the order
+        arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
+    reduced = arr.reshape(size, big) @ np.array(table, dtype=dtype)
+    denom *= scale
+    zero = rational(0)
+    made: dict = {}
+    out = []
+    for row in map(tuple, reduced.tolist()):
+        value = made.get(row)
+        if value is None:
+            value = made[row] = (CyclotomicNumber(big, tuple(Fraction(x, denom) for x in row))
+                                 if any(row) else zero)
+        out.append(value)
+    return out
+
+
 # -- monomial matrices in the character basis -------------------------------
 
 
@@ -323,10 +423,10 @@ class NotMonomialError(ValueError):
 
 
 class MonomialMatrix:
-    """A square matrix with exactly one nonzero entry in each row and each
-    column: row i holds ``weights[i]`` in column ``perm[i]``.  Products and
-    Kronecker products stay monomial and cost one scalar multiplication per
-    row."""
+    """A square matrix whose row i holds ``weights[i]`` in column ``perm[i]``
+    and nothing else.  Products and Kronecker products stay monomial and
+    cost one scalar multiplication per row.  A certified matrix has no zero
+    weight; a diagonal (``perm`` the identity) may have some."""
 
     __slots__ = ("perm", "weights")
 
@@ -366,10 +466,19 @@ class MonomialMatrix:
         return MonomialMatrix(tuple(p[k] for k in self.perm),
                               tuple(a * w[k] for a, k in zip(self.weights, self.perm)))
 
+    def __add__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        if self.perm != other.perm:
+            raise NotMonomialError("only monomial matrices of one pattern are added")
+        return MonomialMatrix(self.perm, tuple(a + b for a, b in zip(self.weights,
+                                                                     other.weights)))
+
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
-        return self.perm == other.perm and self.weights == other.weights
+        # rows agree when both are zero or both hold one weight in one column
+        return len(self.perm) == len(other.perm) and all(
+            (j == k and a == b) or (a.is_zero and b.is_zero)
+            for j, a, k, b in zip(self.perm, self.weights, other.perm, other.weights))
 
     __hash__ = None
 
@@ -378,39 +487,76 @@ class MonomialOps(ExactOps):
     """Exact backend on monomial matrices in the character basis of a spec.
 
     The character basis of the regular module is the Kronecker product F of
-    the per-factor DFT matrices, F[j, c] = zeta_n^(j c), in spec basis order;
-    every element of the group algebra acts diagonally there.  ``matrix``
-    takes a d^k x d^k matrix m (k <= 2) to F^(-k) m F^(k) exactly, one
-    tensor factor at a time, and raises NotMonomialError unless that product
-    (the certificate) is monomial.  Conjugation by the invertible F^(N)
-    respects products, Kronecker products, identities and equality, so every
-    verdict equals the dense one.  Certified conversions are cached per
-    instance, keyed on the exact entries.
+    the per-factor bases ``character_basis(n)``, in spec basis order; every
+    element of the group algebra acts diagonally there.  ``tensor`` takes a
+    k-leg element t to the diagonal of F^(-k) rho^(x)k(t) F^(k), the
+    character transform of its coefficients with sign -1 on every leg; a
+    leg on which every term is the identity contributes 1 and is broadcast,
+    not transformed.  ``mul`` of two diagonals is then a pointwise product.
+    ``matrix`` takes a d^k x d^k matrix m (k <= 2) to F^(-k) m F^(k), the
+    transform with sign -1 and scale n on each row axis and sign +1 on each
+    column axis, and raises NotMonomialError unless that product (the
+    certificate) is monomial.  Conjugation by the invertible F^(k) is an
+    algebra isomorphism that respects Kronecker products, identities and
+    equality, and the regular representation is faithful, so every verdict
+    equals the dense one.  The constructor checks, for each cyclic factor,
+    that its generator shifts its own digit of the spec basis and the proof
+    obligation of its character basis (``check_character_basis``).
+    Transforms are cached per instance, keyed on the exact coefficients.
     """
 
     def __init__(self, spec: GroupSpec):
-        self.dimension = d = spec.dimension
-        f = Matrix.identity(1)
-        for n in spec.orders:
-            f = kron(f, Matrix(n, n, [root_of_unity(n, j * c) for j in range(n)
-                                      for c in range(n)]))
-        f_inv = invert_matrix(f)
-        eye = Matrix.identity(d)
-        # per power k: the factors of F^(-k) and of the transpose of F^(k),
-        # one tensor position each, so every product has a sparse left side
-        self._factors = {
-            1: ([f_inv], [f.transpose()]),
-            2: ([kron(eye, f_inv), kron(f_inv, eye)],
-                [kron(f, eye).transpose(), kron(eye, f).transpose()]),
-        }
+        rep, orders = RegularRepresentation(spec), spec.orders
+        for i, n in enumerate(orders):
+            # the i-th generator shifts the i-th digit of the spec basis, so
+            # the transform's axes are the factors, each diagonalised by its F
+            shift = kron(kron(Matrix.identity(prod(orders[:i])), cyclic_shift(n)),
+                         Matrix.identity(prod(orders[i + 1:])))
+            generator = tuple(int(j == i) for j in range(len(orders)))
+            if rep.on_basis(generator) != shift or \
+                    not check_character_basis(n, character_basis(n)):
+                raise ArithmeticError(f"the character basis of factor {i} (order {n}) "
+                                      f"fails its proof obligation")
+        self.spec = spec
+        self.dimension = spec.dimension
         self._cache: dict = {}
 
-    def matrix(self, m: Matrix) -> MonomialMatrix:
-        key = (m.rows, m.cols, tuple((e.order, e.coeffs) for e in m.entries))
+    def _cached(self, key, make):
         found = self._cache.get(key)
         if found is None:
-            found = self._cache[key] = self._certify(m)
+            found = self._cache[key] = make()
         return found
+
+    def tensor(self, t: TensorElement) -> MonomialMatrix:
+        if t.spec != self.spec:
+            raise ValueError("group spec mismatch")
+        key = ("tensor", t.legs, tuple((k, c.order, c.coeffs) for k, c in t.terms.items()))
+        return self._cached(key, lambda: self._diagonal(t))
+
+    def _diagonal(self, t: TensorElement) -> MonomialMatrix:
+        d, orders, ident = self.dimension, self.spec.orders, self.spec.identity
+        active = [leg for leg in range(t.legs) if any(key[leg] != ident for key in t.terms)]
+        entries = []
+        for key, c in t.terms.items():
+            flat = 0
+            for leg in active:
+                for e, n in zip(key[leg], orders):
+                    flat = flat * n + e
+            entries.append((flat, c))
+        shape = orders * len(active)
+        weights = character_transform(shape, (-1,) * len(shape), entries)
+        # diagonal index (c_1, ..., c_k) -> index of its active legs' characters
+        grid = np.arange(d ** len(active)).reshape([d if leg in active else 1
+                                                    for leg in range(t.legs)])
+        spread = np.broadcast_to(grid, (d,) * t.legs).ravel().tolist()
+        return MonomialMatrix(tuple(range(d ** t.legs)), tuple(weights[i] for i in spread))
+
+    def mul(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
+        return a @ b
+
+    def matrix(self, m: Matrix) -> MonomialMatrix:
+        key = ("matrix", m.rows, m.cols, tuple((e.order, e.coeffs) for e in m.entries))
+        return self._cached(key, lambda: self._certify(m))
 
     def _certify(self, m: Matrix) -> MonomialMatrix:
         d = self.dimension
@@ -418,13 +564,10 @@ class MonomialOps(ExactOps):
         if power is None:
             raise NotMonomialError(f"a {m.rows}x{m.cols} matrix is not d or d^2 "
                                    f"square for local dimension {d}")
-        left, right_t = self._factors[power]
-        for a in left:
-            m = a @ m
-        m = m.transpose()
-        for b in right_t:
-            m = b @ m
-        return MonomialMatrix.from_matrix(m.transpose())
+        axes = self.spec.orders * power
+        conjugate = character_transform(axes * 2, (-1,) * len(axes) + (1,) * len(axes),
+                                        enumerate(m.entries), scale=d ** power)
+        return MonomialMatrix.from_matrix(Matrix(m.rows, m.cols, conjugate))
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         n = len(b.perm)
@@ -443,9 +586,8 @@ class MonomialOps(ExactOps):
         return MonomialMatrix(tuple(range(n)), (one,) * n)
 
     def invertible(self, m: MonomialMatrix) -> bool:
-        # from_matrix admits no zero weight and products of nonzero field
-        # elements are nonzero, so every MonomialMatrix is invertible
-        return True
+        # a monomial matrix is invertible iff no weight is zero
+        return not any(w.is_zero for w in m.weights)
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -29,7 +29,13 @@ from hopfbraid.groupalg import (
     specs_up_to,
     universal_r,
 )
-from hopfbraid.linalg import Matrix, conjugate_transpose, flip_operator, regular_representation
+from hopfbraid.linalg import (
+    Matrix,
+    MonomialOps,
+    conjugate_transpose,
+    flip_operator,
+    regular_representation,
+)
 from hopfbraid.quantum import (
     StateVector,
     apply_gate,
@@ -217,3 +223,21 @@ def test_criterion_15_braid_relations_on_five_strands_at_dimension_six(capsys):
     with _Budget("15 braid relations, 5 strands d=6", 30.0):
         assert main(["check", "--orders", "6", "--which", "braid", "--strands", "5"]) == 0
         assert "check braid-relations-5: pass" in capsys.readouterr().out
+
+
+def test_criterion_16_algebra_checks_at_dimension_twelve(capsys):
+    with _Budget("16 check --orders 12, quasitriangular and ybe", 2.0):
+        assert main(["check", "--orders", "12", "--which", "quasitriangular"]) == 0
+        assert main(["check", "--orders", "12", "--which", "ybe"]) == 0
+        out = capsys.readouterr().out
+        assert "2 checks, 2 pass" in out and "1 checks, 1 pass" in out
+
+
+def test_criterion_17_algebra_checks_on_diagonals_up_to_dimension_twelve():
+    with _Budget("17 quasitriangular and ybe on MonomialOps, all specs d <= 12", 10.0):
+        for spec in specs_up_to(12):
+            r = universal_r(spec)
+            ops = MonomialOps(spec)
+            assert check_quasi_cocommutative(spec, r, ops), spec
+            assert check_quasitriangular(spec, r, ops), spec
+            assert check_algebraic_ybe(spec, r, ops), spec

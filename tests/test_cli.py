@@ -8,8 +8,9 @@ import pytest
 
 import hopfbraid
 from hopfbraid import cli
-from hopfbraid.cli import CHOICES, MAX_MATRIX_ENTRIES, main, matrix_entries
-from hopfbraid.linalg import Matrix, matrix_from_json, matrix_to_json
+from hopfbraid.cli import (CHOICES, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS, main,
+                           matrix_entries, transform_cells)
+from hopfbraid.linalg import Matrix, MonomialOps, matrix_from_json, matrix_to_json
 
 
 def run(capsys, *args):
@@ -295,6 +296,37 @@ def test_size_guard_estimate():
         assert matrix_entries(*refused) > MAX_MATRIX_ENTRIES, refused
 
 
+def test_transform_guard_estimate():
+    # the d^3 diagonal entries of a three-leg element, d powers of zeta each
+    assert transform_cells(12, "ybe", "monomial") == 12 ** 4
+    assert transform_cells(24, "quasitriangular", "monomial") <= MAX_TRANSFORM_CELLS
+    assert transform_cells(64, "ybe", "monomial") > MAX_TRANSFORM_CELLS
+    for unpriced in [(64, "hopf", "dense"), (64, "ybe", "dense"), (64, "ybe", "float"),
+                     (4, "braided-ybe", "monomial")]:
+        assert transform_cells(*unpriced) == 0, unpriced
+
+
+def _check_in_subprocess(*args, timeout):
+    # a subprocess, so a hang shows as a timeout, not as a stalled suite
+    src = str(Path(hopfbraid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "hopfbraid", "check", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_algebra_checks_at_order_24_run_under_the_guard():
+    done = _check_in_subprocess("--orders", "24", "--which", "ybe", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "check algebraic-ybe: pass" in done.stdout
+
+
+def test_oversized_algebra_check_exits_two_before_building_a_tensor():
+    done = _check_in_subprocess("--orders", "64", "--which", "ybe", timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: check --which ybe would transform")
+    assert done.stderr.count("\n") == 1
+
+
 def test_oversized_braid_exits_two_with_one_line_error(capsys):
     # refused before any matrix is built
     code, out, err = run(capsys, "braid", "--orders", "2", "--strands", "10")
@@ -345,8 +377,13 @@ def test_algebra_choices_build_no_braided_matrix(monkeypatch, capsys, which):
     def refuse(*args):
         raise AssertionError("built a matrix an algebra-level check does not read")
 
-    for name in ("braided_r", "braiding_map", "MonomialOps"):
+    for name in ("braided_r", "braiding_map"):
         monkeypatch.setattr(cli, name, refuse)
+    # quasitriangular and ybe run on character-basis diagonals, which need
+    # no certificate; hopf runs dense and builds no MonomialOps at all
+    monkeypatch.setattr(MonomialOps, "matrix", refuse)
+    if not CHOICES[which].monomial:
+        monkeypatch.setattr(cli, "MonomialOps", refuse)
     assert run(capsys, "check", "--orders", "2,2", "--which", which)[0] == 0
 
 
@@ -365,15 +402,10 @@ def test_imported_r_matrix_builds_no_universal_r(monkeypatch, tmp_path, capsys):
 def test_r_matrix_of_another_side_is_checked_at_its_own_side(tmp_path, capsys):
     # A 4x4 R' checked under orders 64: the guard prices the dense path at
     # side 2, so the command must not certify at d = 64 (a 64x64 DFT over
-    # Q(zeta_64), then d^4-entry factors).  A subprocess, so a hang shows as
-    # a timeout, not as a stalled suite.
+    # Q(zeta_64), then a transform of d^4 entries).
     assert main(["gen-r", "--orders", "2", "--output", str(tmp_path)]) == 0
     capsys.readouterr()
-    src = str(Path(hopfbraid.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-m", "hopfbraid", "check", "--orders", "64",
-                           "--which", "braided-ybe", "--r-matrix",
-                           str(tmp_path / "braided_r.json")],
-                          capture_output=True, text=True, env=env, timeout=10)
+    done = _check_in_subprocess("--orders", "64", "--which", "braided-ybe", "--r-matrix",
+                                str(tmp_path / "braided_r.json"), timeout=10)
     assert done.returncode == 0, done.stderr
     assert "check braided-ybe: pass" in done.stdout

@@ -44,6 +44,12 @@ CASES = {
     "check_3_braid_4.json": ["check", "--orders", "3", "--which", "braid", "--strands",
                              "4", "--json"],
     "check_3_all.txt": ["check", "--orders", "3", "--which", "all"],
+    # the algebra-level identities below are decided on character-basis diagonals
+    "check_26_quasitriangular.json": ["check", "--orders", "2,6", "--which",
+                                      "quasitriangular", "--json"],
+    "check_223_quasitriangular_fused.json": ["check", "--orders", "2,2,3", "--which",
+                                             "quasitriangular", "--form", "fused", "--json"],
+    "check_12_ybe.txt": ["check", "--orders", "12", "--which", "ybe"],
 }
 
 GEN_R_FILES = ("universal_r.json", "gamma_r.json", "flip.json", "braided_r.json")

@@ -1,20 +1,24 @@
 """The monomial backend (linalg.MonomialOps) against the dense exact oracle.
 
-Every braided matrix built from a two-leg element of a cyclic group algebra
-is monomial in the character basis, so the braid relations, module
-morphism and hexagon can be decided on monomial matrices.  These tests
-compare those verdicts with linalg.EXACT wherever the dense check is cheap
-(d^N <= 64), with the float backend where it is not, and on random
-two-leg elements whose identities mostly fail.
+Every element of a cyclic group algebra acts diagonally in the character
+basis, and every braided matrix built from a two-leg element is monomial
+there, so the algebra-level identities can be decided on diagonals and the
+braid relations, module morphism and hexagon on monomial matrices.  These
+tests compare the diagonals with the dense regular images, and the verdicts
+with linalg.EXACT wherever the dense check is cheap (d^N <= 64), with the
+float backend where it is not, and on random elements whose identities
+mostly fail.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfbraid import floatback
+from hopfbraid import floatback, linalg
 from hopfbraid.braidrep import (
     BraidedRMatrix,
     ModuleAction,
@@ -25,8 +29,17 @@ from hopfbraid.braidrep import (
     check_module_morphism,
 )
 from hopfbraid.groupalg import (
+    AlgebraElement,
     GroupSpec,
     TensorElement,
+    as_single_leg,
+    check_algebraic_ybe,
+    check_hopf_axioms,
+    check_quasi_cocommutative,
+    check_quasitriangular,
+    coproduct_on_leg,
+    counit_on_leg,
+    leg_embedding,
     specs_up_to,
     universal_r,
     universal_r_fused_phase,
@@ -37,8 +50,12 @@ from hopfbraid.linalg import (
     MonomialMatrix,
     MonomialOps,
     NotMonomialError,
+    character_basis,
+    character_transform,
+    check_character_basis,
     invert_matrix,
     kron,
+    regular_representation,
 )
 from hopfbraid.scalar import rational, root_of_unity
 
@@ -98,6 +115,102 @@ def test_certificate_is_the_conjugate_in_the_character_basis(spec, form):
     f = _character_basis(spec, 2)
     assert m @ f == f @ p.to_matrix()
     assert MonomialMatrix.from_matrix(p.to_matrix()) == p
+
+
+# -- diagonals of tensor elements ---------------------------------------------
+
+
+def _elements(r: TensorElement) -> dict:
+    """Elements with 1, 2 and 3 legs built from r; R13 has an identity leg."""
+    return {1: [counit_on_leg(r, 1)], 2: [r],
+            3: [coproduct_on_leg(r, 0), leg_embedding(r, 3, (0, 2))]}
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", specs_up_to(6), ids=lambda s: ",".join(map(str, s.orders)))
+def test_diagonal_is_the_regular_image_in_the_character_basis(spec, form):
+    rep = regular_representation(spec)
+    ops = MonomialOps(spec)
+    for legs, elements in _elements(form(spec)).items():
+        if legs == 3 and spec.dimension > 4:
+            continue
+        f = _character_basis(spec, legs)
+        for t in elements:
+            diagonal = ops.tensor(t)
+            assert diagonal.perm == tuple(range(spec.dimension ** legs))
+            assert rep.on_tensor(t) @ f == f @ diagonal.to_matrix(), (legs, t)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", specs_up_to(6), ids=lambda s: ",".join(map(str, s.orders)))
+def test_algebra_verdicts_match_the_oracle(spec, form):
+    r = form(spec)
+    ops = MonomialOps(spec)
+    for check in (check_quasi_cocommutative, check_quasitriangular, check_algebraic_ybe):
+        assert check(spec, r, ops) == check(spec, r, EXACT), check.__name__
+    assert check_hopf_axioms(spec, ops) == check_hopf_axioms(spec, EXACT)
+
+
+def test_zero_weights_are_not_invertible():
+    spec = GroupSpec((2,))
+    ops = MonomialOps(spec)
+    one_plus_g = AlgebraElement.from_terms(spec, [((0,), 1), ((1,), 1)])
+    diagonal = ops.tensor(as_single_leg(one_plus_g))  # characters give 2 and 0
+    assert diagonal.weights == (2, 0)
+    assert not ops.invertible(diagonal)
+    assert not EXACT.invertible(regular_representation(spec).on_element(one_plus_g))
+    assert ops.invertible(ops.tensor(as_single_leg(AlgebraElement.unit(spec))))
+    zero = ops.tensor(TensorElement.zero(spec, 2))
+    assert not ops.invertible(zero)
+    # a zero row equals a zero row wherever its column is
+    assert MonomialMatrix((1, 0), zero.weights[:2]) == MonomialMatrix((0, 1), zero.weights[:2])
+
+
+def _diagonalises_the_shift(f: Matrix) -> bool:
+    n = f.rows
+    diag = Matrix(n, n, [root_of_unity(n, -c) if j == c else 0
+                         for j in range(n) for c in range(n)])
+    return linalg.cyclic_shift(n) @ f == f @ diag
+
+
+def test_character_basis_proof_obligation():
+    for n in range(1, 9):
+        assert check_character_basis(n, character_basis(n))
+    f = character_basis(4)
+    conjugated = Matrix(4, 4, [e.conjugate() for e in f.entries])  # diagonalises rho(g)^-1
+    swapped = Matrix(4, 4, [f[j, (1, 0, 2, 3)[c]] for j in range(4) for c in range(4)])
+    scaled = Matrix(4, 4, [e * (2 if i % 4 == 3 else 1) for i, e in enumerate(f.entries)])
+    for wrong in (conjugated, swapped):
+        assert not check_character_basis(4, wrong)
+    # still diagonalises rho(g) as claimed; only F conj(F)^T = n I fails
+    assert _diagonalises_the_shift(scaled) and not check_character_basis(4, scaled)
+
+
+def test_large_coefficients_leave_int64():
+    # 2^62 fits int64 but the sum 2^63 would wrap; 2^70 does not fit at all
+    half = rational(2 ** 62)
+    assert character_transform((2,), (-1,), [(0, half), (1, half)]) == [2 * half, 0]
+    big = rational(2 ** 70)
+    assert character_transform((2,), (-1,), [(0, big), (1, rational(3))]) == \
+        [big + 3, big - 3]
+    assert character_transform((2, 2), (1, -1), [(3, big)], scale=4) == \
+        [big / 4, -big / 4, -big / 4, big / 4]
+
+
+def test_a_failed_obligation_stops_the_backend(monkeypatch):
+    monkeypatch.setattr(linalg, "character_basis",
+                        lambda n: Matrix(n, n, [root_of_unity(n, -j * c) for j in range(n)
+                                                for c in range(n)]))
+    with pytest.raises(ArithmeticError):
+        MonomialOps(GroupSpec((2, 3)))
+    MonomialOps(GroupSpec((2,)))  # zeta_2 is its own conjugate
+    monkeypatch.undo()
+    # a regular representation whose generator shifts the wrong way
+    on_basis = linalg.RegularRepresentation.on_basis
+    monkeypatch.setattr(linalg.RegularRepresentation, "on_basis",
+                        lambda self, exps: on_basis(self, tuple(-e for e in exps)))
+    with pytest.raises(ArithmeticError):
+        MonomialOps(GroupSpec((3,)))
 
 
 def test_non_monomial_matrices_are_refused():
@@ -165,6 +278,31 @@ def test_random_elements_agree_with_the_oracle(case):
         return
     assert _verdicts(spec, r, (3,), MonomialOps(spec)) == \
         _verdicts(spec, r, (3,), EXACT)
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two elements with the same spec and legs; the second is the first
+    with at most one coefficient redrawn, so about half the pairs are equal."""
+    spec = GroupSpec(draw(st.sampled_from(((1,), (2,), (3,), (2, 2)))))
+    legs = draw(st.integers(1, 2))
+    keys = [tuple(k) for k in itertools.product(list(spec.basis()), repeat=legs)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    terms = {k: draw(scalars()) for k in chosen}
+    a = TensorElement.from_terms(spec, legs, terms.items())
+    if chosen and draw(st.booleans()):
+        terms[draw(st.sampled_from(chosen))] = draw(scalars())
+    return a, TensorElement.from_terms(spec, legs, terms.items())
+
+
+@given(tensor_pairs())
+def test_transform_is_an_injective_homomorphism(pair):
+    a, b = pair
+    ops = MonomialOps(a.spec)
+    ta, tb = ops.tensor(a), ops.tensor(b)
+    assert ops.tensor(a * b) == ops.mul(ta, tb)
+    assert ops.tensor(a + b) == ta + tb
+    assert ops.equal(ta, tb) == (a == b)
 
 
 @st.composite
