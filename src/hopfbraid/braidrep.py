@@ -9,7 +9,8 @@ universal_r; it satisfies the braid relation and powers the generators
 on N strands (generator count N-1, total dimension d^N).  Braid words are
 applied to states in written order: the first letter is the generator that
 hits the state first, i.e. the rightmost factor of the evaluated matrix
-product.
+product.  A word is applied to a state letter by letter, so its d^N x d^N
+matrix is built only when it is asked for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .linalg import (
     EXACT,
     Matrix,
     _action_image,
-    flip_pair,
+    flip_rows,
     invert_matrix,
     regular_representation,
 )
@@ -111,23 +112,24 @@ class BraidWord:
                 raise ValueError(f"letter {letter} is invalid for {self.strands} strands")
 
 
-def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix) -> Matrix:
-    """Matrix of the word, letters applied to states in written order
-    (first letter = rightmost factor of the product); empty word gives I."""
+def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix,
+                        columns: Matrix | None = None) -> Matrix:
+    """The word applied to columns (d^strands rows each), letters in
+    written order: the first letter hits the columns first, i.e. it is the
+    rightmost factor of the word's matrix.  With columns None they are the
+    identity, so the result is the word's matrix; the empty word returns
+    the columns unchanged."""
     d = r.dimension
-    acc = Matrix.identity(d ** word.strands)
+    acc = Matrix.identity(d ** word.strands) if columns is None else columns
     cache: dict[int, Matrix] = {}
-    inverse_r = None
+    inverse = None
     for letter in word.letters:
         g = cache.get(letter)
         if g is None:
-            if letter > 0:
-                g = braid_generator(letter, word.strands, r)
-            else:
-                if inverse_r is None:
-                    inverse_r = BraidedRMatrix(d, invert_matrix(r.matrix), "inverse")
-                g = braid_generator(-letter, word.strands, inverse_r)
-            cache[letter] = g
+            if letter < 0 and inverse is None:
+                inverse = invert_matrix(r.matrix)
+            g = cache[letter] = _placed(r.matrix if letter > 0 else inverse, d, abs(letter),
+                                        word.strands, EXACT)
         acc = g @ acc
     return acc
 
@@ -186,7 +188,7 @@ def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:
         raise ValueError("module actions live over different specs")
     if r.spec != v.spec or r.legs != 2:
         raise ValueError("expected a two-leg element over the modules' spec")
-    return flip_pair(v.dimension, w.dimension) @ _action_image([v, w], r)
+    return flip_rows(_action_image([v, w], r), v.dimension, w.dimension)
 
 
 def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction,

@@ -55,6 +55,7 @@ from .linalg import (
     NotMonomialError,
     conjugate_transpose,
     flip_operator,
+    flip_rows,
     matrix_from_json,
     matrix_to_json,
     regular_representation,
@@ -87,15 +88,18 @@ class Check(NamedTuple):
 
 class Choice(NamedTuple):
     """A --which choice: its checks in report order, the legs of its largest
-    matrix (None: tensor elements only), whether it acts on R' (so
-    --r-matrix sets its local dimension), whether the exact backend tries
+    matrix (None: tensor elements only), whether the exact backend tries
     MonomialOps on it, and the local dimension it requires, if any."""
 
     checks: tuple
     legs: int | str | None = None
-    on_r_prime: bool = False
     monomial: bool = False
     requires_d: int | None = None
+
+    @property
+    def on_r_prime(self) -> bool:
+        """Whether a check acts on R', so --r-matrix sets its local dimension."""
+        return any(c.on == "R'" for c in self.checks)
 
 
 # The --which choices in the order "all" runs them.  The checkers are looked
@@ -118,12 +122,12 @@ CHOICES = {
     "braided-ybe": Choice((
         Check("braided-ybe", "(R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')",
               "R'", lambda x, ops: check_braid_relations(3, x.braided, ops)),
-    ), legs=3, on_r_prime=True, monomial=True),
+    ), legs=3, monomial=True),
     "braid": Choice((
         Check("braid-relations-{strands}",
               "far commutation and adjacent braid relations on {strands} strands",
               "R'", lambda x, ops: check_braid_relations(x.strands, x.braided, ops)),
-    ), legs=STRANDS, on_r_prime=True, monomial=True),
+    ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
               "module", lambda x, ops: check_module_morphism(
@@ -135,7 +139,7 @@ CHOICES = {
         Check("bell-actions",
               "phi+ -> psi+, psi+ -> phi+, phi- -> phi-, psi- -> -psi- with exact signs",
               "R'", lambda x, ops: check_bell_actions(x.braided, ops)),
-    ), legs=2, on_r_prime=True, requires_d=2),
+    ), legs=2, requires_d=2),
 }
 
 # Size guard: a command may hold no matrix of more than this many exact
@@ -275,7 +279,7 @@ def cmd_gen_r(args, argv) -> int:
     d = spec.dimension
     gamma = rep.on_tensor(r)
     flip = flip_operator(d)
-    braided = flip @ gamma
+    braided = flip_rows(gamma, d, d)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,20 +397,21 @@ def cmd_braid(args, argv) -> int:
     word = BraidWord(args.strands, _parse_word(args.word))
     _admit(matrix_entries(spec.dimension, "braid", word.strands, "dense"), "braid")
     gate = braided_r(spec)
-    matrix = evaluate_braid_word(word, gate)
     d = spec.dimension
+    size = d ** word.strands
     report.add_info(f"word {list(word.letters)} on {word.strands} strands, "
-                    f"local dimension {d}: matrix {matrix.rows}x{matrix.cols}")
+                    f"local dimension {d}: matrix {size}x{size}")
 
     if args.output:
         path = Path(args.output)
-        payload = matrix_to_json(matrix, args.backend == "float")
+        payload = matrix_to_json(evaluate_braid_word(word, gate), args.backend == "float")
         path.write_text(json.dumps(payload, indent=2) + "\n")
         report.artifacts.append(str(path))
 
     if args.state is not None:
         state = _parse_state(args.state, d, word.strands)
-        image = apply_gate(matrix, state)
+        column = evaluate_braid_word(word, gate, Matrix(size, 1, state.amps))
+        image = StateVector(d, word.strands, column.entries)
         for i, amp in enumerate(image.amps):
             z = amp.to_complex()
             re, im = round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0

@@ -205,14 +205,25 @@ def cyclic_shift(order: int) -> Matrix:
     return m
 
 
-def flip_pair(p: int, q: int) -> Matrix:
-    """Swap of tensor factors of dimensions p and q: e_i (x) f_j -> f_j (x) e_i."""
-    m = Matrix.zeros(p * q, p * q)
-    one = rational(1)
+def flip_rows(m: Matrix, p: int, q: int) -> Matrix:
+    """flip_pair(p, q) @ m as a row permutation: row i*q + j of m becomes
+    row j*p + i.  Zero entries are written as rational(0), as the dense
+    product writes them."""
+    if m.rows != p * q:
+        raise ValueError(f"flip of {p}x{q} factors needs {p * q} rows, not {m.rows}")
+    zero, n = rational(0), m.cols
+    out = [zero] * (m.rows * n)
     for i in range(p):
         for j in range(q):
-            m.entries[(j * p + i) * (p * q) + (i * q + j)] = one
-    return m
+            src = (i * q + j) * n
+            out[(j * p + i) * n:(j * p + i + 1) * n] = [
+                zero if e.is_zero else e for e in m.entries[src:src + n]]
+    return Matrix(m.rows, n, out)
+
+
+def flip_pair(p: int, q: int) -> Matrix:
+    """Swap of tensor factors of dimensions p and q: e_i (x) f_j -> f_j (x) e_i."""
+    return flip_rows(Matrix.identity(p * q), p, q)
 
 
 def flip_operator(d: int) -> Matrix:

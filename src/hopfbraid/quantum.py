@@ -290,7 +290,7 @@ def proportional_positive(state: StateVector, target: StateVector) -> bool:
     if pivot is None:
         return False
     lam = state.amps[pivot] / target.amps[pivot]
-    if not lam.is_real() or lam.to_complex().real <= 0.0:
+    if not lam.is_positive():
         return False
     return all(a == lam * b for a, b in zip(state.amps, target.amps))
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import cmath
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 
 Rational = Fraction
 
@@ -136,6 +137,29 @@ class CyclotomicNumber:
 
     def is_real(self) -> bool:
         return self.conjugate() == self
+
+    def is_positive(self) -> bool:
+        """True when the value is real and above 0, decided without a float
+        cutoff: the value sum_k c_k cos(2 pi k / order) is evaluated in
+        decimal, at a precision that doubles until the value lies farther
+        from 0 than a bound on its evaluation error."""
+        if self.is_zero or not self.is_real():
+            return False
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        # each cosine errs by under 1000 units in the last working digit and
+        # each partial sum is at most height, so with ten working digits
+        # beyond `digits` the bound below is a million times the error
+        height = ceil(sum(abs(c) for _, c in terms))
+        digits = 20
+        while True:
+            with localcontext() as ctx:
+                ctx.prec = digits + 10
+                turn = 2 * _decimal_pi() / self.order
+                value = sum(Decimal(c.numerator) / c.denominator * _decimal_cos(turn * k)
+                            for k, c in terms)
+            if abs(value) > Decimal(height * (len(terms) + 10)).scaleb(-digits):
+                return value > 0
+            digits *= 2
 
     # -- ring operations ---------------------------------------------
 
@@ -335,6 +359,34 @@ class CyclotomicNumber:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current decimal precision, as the series of 6 asin(1/2)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        last, t, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != last:
+            last = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = t * n / d
+            total += t
+    return +total
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    """cos(x) to the current decimal precision by its Taylor series; the
+    terms stay below 100 for |x| <= 2 pi, so two guard digits suffice."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        last, total, term, i = 0, Decimal(1), Decimal(1), 0
+        while total != last:
+            last = total
+            i += 2
+            term = -term * x * x / (i * (i - 1))
+            total += term
+    return +total
 
 
 def _coerce(value):

@@ -241,3 +241,12 @@ def test_criterion_17_algebra_checks_on_diagonals_up_to_dimension_twelve():
             assert check_quasi_cocommutative(spec, r, ops), spec
             assert check_quasitriangular(spec, r, ops), spec
             assert check_algebraic_ybe(spec, r, ops), spec
+
+
+def test_criterion_18_long_braid_word_on_a_state(capsys):
+    # letters act on the state one by one; the 81x81 word matrix is never built
+    word = ",".join(map(str, [1, 2, -3, 2, -1, 3, -2, 1] * 5))
+    with _Budget("18 braid, 40 letters on 4 strands d=3, on a state", 5.0):
+        assert main(["braid", "--orders", "3", "--strands", "4", f"--word={word}",
+                     "--state", "0121"]) == 0
+        assert "schmidt rank across cut 3:" in capsys.readouterr().out

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfbraid.braidrep import (
     BraidedRMatrix,
@@ -22,8 +24,9 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import (Matrix, conjugate_transpose, flip_operator, kron,
-                              regular_representation)
+from hopfbraid.linalg import (Matrix, conjugate_transpose, flip_operator, invert_matrix,
+                              kron, regular_representation)
+from hopfbraid.quantum import BELL_KINDS, StateVector, bell_state
 from hopfbraid.scalar import rational, root_of_unity
 
 S2 = GroupSpec((2,))
@@ -231,3 +234,44 @@ def test_hexagon_mixed_modules():
 def test_braided_rmatrix_shape_validation():
     with pytest.raises(ValueError):
         BraidedRMatrix(3, Matrix.identity(4))
+
+
+# (orders, strands) of the word evaluations compared below
+APPLY_CASES = (((2,), 2), ((2,), 3), ((2,), 4), ((3,), 3), ((2, 2), 3))
+APPLY_GATES = {orders: braided_r(GroupSpec(orders)) for orders, _ in APPLY_CASES}
+APPLY_INVERSES = {orders: BraidedRMatrix(r.dimension, invert_matrix(r.matrix))
+                  for orders, r in APPLY_GATES.items()}
+
+
+@st.composite
+def words_on_columns(draw):
+    """A braid word of mixed-sign letters, the orders of its gate, and one
+    or two states as columns: basis states, or Bell states on two qubits."""
+    orders, strands = draw(st.sampled_from(APPLY_CASES))
+    r = APPLY_GATES[orders]
+    d = r.dimension
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    word = BraidWord(strands, draw(st.lists(letter, max_size=6)))
+    states = []
+    for _ in range(draw(st.integers(1, 2))):
+        if d == 2 and strands == 2 and draw(st.booleans()):
+            states.append(bell_state(draw(st.sampled_from(BELL_KINDS))))
+        else:
+            digits = draw(st.lists(st.integers(0, d - 1), min_size=strands, max_size=strands))
+            states.append(StateVector.computational(d, digits))
+    entries = [s.amps[i] for i in range(d ** strands) for s in states]
+    return word, orders, Matrix(d ** strands, len(states), entries)
+
+
+@given(words_on_columns())
+def test_word_applied_to_columns_equals_its_matrix_times_them(case):
+    word, orders, columns = case
+    r = APPLY_GATES[orders]
+    applied = evaluate_braid_word(word, r, columns)
+    assert applied == evaluate_braid_word(word, r) @ columns
+    # oracle: the generators, first letter on the right of the product
+    expected = columns
+    for letter in word.letters:
+        gate = r if letter > 0 else APPLY_INVERSES[orders]
+        expected = braid_generator(abs(letter), word.strands, gate) @ expected
+    assert applied == expected

@@ -176,6 +176,34 @@ def test_braid_state_action(capsys):
     assert "amp |01>: (1/2)*z8 + (-1/2)*z8^3" in out
 
 
+def test_braid_state_builds_no_word_matrix(monkeypatch, tmp_path, capsys):
+    # --state alone applies the word to one column; only --output builds
+    # the 27x27 word matrix
+    widths = []
+    matmul = Matrix.__matmul__
+
+    def spy(a, b):
+        widths.append(b.cols)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    argv = ["braid", "--orders", "3", "--strands", "3", "--word=1,-2,1,2", "--state", "012"]
+    assert run(capsys, *argv)[0] == 0
+    assert widths and set(widths) == {1}
+    widths.clear()
+    assert run(capsys, *argv, "--output", str(tmp_path / "word.json"))[0] == 0
+    assert set(widths) == {1, 27}
+
+
+def test_r_matrix_help_names_the_choices_on_r_prime(capsys):
+    assert [w for w, c in CHOICES.items() if c.on_r_prime] == [
+        "braided-ybe", "braid", "bell-actions"]
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    # argparse wraps the help text, even inside a name
+    assert "R'inthebraided-ybe/braid/bell-actionschecks" in "".join(out.split())
+
+
 def test_braid_invalid_word_exits_two(capsys):
     code, _, err = run(capsys, "braid", "--orders", "2", "--strands", "2",
                        "--word", "5")

@@ -36,6 +36,9 @@ CASES = {
     # inverts an order-3 R' and takes exact Schmidt ranks over Q(zeta_3)
     "braid_3_word_inverse.json": ["braid", "--orders", "3", "--strands", "3",
                                   "--word=-1,2,-1", "--state", "012", "--json"],
+    # a mixed-sign word applied to a state letter by letter, amplitudes in Q(zeta_4)
+    "braid_4_word_mixed.json": ["braid", "--orders", "4", "--strands", "3",
+                                "--word=1,-2,2,1,-1,-2,1,2", "--state", "123", "--json"],
     "compare_gates.json": ["compare-gates", "--json"],
     # the exact braid identities below are decided on monomial matrices
     "check_4_all.json": ["check", "--orders", "4", "--which", "all", "--json"],
@@ -82,6 +85,16 @@ def test_gen_r_order_three_matches_golden(tmp_path, capsys):
     assert report == (GOLDEN / "gen_r_3.txt").read_text()
     for name in GEN_R_FILES:
         assert (out_dir / name).read_text() == (GOLDEN / "gen_r_3" / name).read_text()
+
+
+def test_braid_output_matches_golden(tmp_path, capsys):
+    # --output writes the word's matrix; --state applies the word to the state
+    path = tmp_path / "word.json"
+    assert main(["braid", "--orders", "3", "--strands", "3", "--word=2,-1,1,2,-2",
+                 "--state", "021", "--output", str(path)]) == 0
+    report = _normalise(capsys.readouterr().out, tmp_path)
+    assert report == (GOLDEN / "braid_3_word_output.txt").read_text()
+    assert path.read_text() == (GOLDEN / "braid_3_word_output.json").read_text()
 
 
 def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hopfbraid.linalg import (
     exact_rank,
     flip_operator,
     flip_pair,
+    flip_rows,
     invert_matrix,
     kron,
     matrix_from_json,
@@ -150,6 +151,23 @@ def test_flip_conjugates_kron_factors():
 def test_flip_pair_rectangular():
     t = flip_pair(1, 3)
     assert t @ t.transpose() == Matrix.identity(3)
+
+
+def test_flip_rows_is_the_flip_product():
+    rng = random.Random(5)
+    for p, q, cols in ((1, 3, 2), (2, 3, 1), (3, 2, 6), (2, 2, 4)):
+        m = random_matrix(rng, p * q, cols)
+        flipped = flip_rows(m, p, q)
+        assert flipped == flip_pair(p, q) @ m
+        assert [e.to_json() for e in flipped.entries] == [
+            e.to_json() for e in (flip_pair(p, q) @ m).entries]
+    # a zero of order 2 comes out as the rational zero, as from the product
+    zero2 = root_of_unity(2, 1) + 1
+    assert zero2.is_zero and zero2.order == 2
+    out = flip_rows(Matrix(2, 1, [zero2, 1]), 2, 1)
+    assert [e.order for e in out.entries] == [1, 1]
+    with pytest.raises(ValueError):
+        flip_rows(Matrix.identity(3), 2, 2)
 
 
 def test_invert_identity():

@@ -4,8 +4,8 @@ the field axioms, and of exact matrix products against numpy.
 Inverse, rank and descent share one row reduction (scalar._row_reduce);
 these tests pin it on small matrices whose entries are small integers
 times roots of unity of order 3 or 4, so products mix the two fields.
-The field axioms and lift are checked on sums of roots of unity of mixed
-orders.
+The field axioms, lift and the sign of real elements are checked on sums
+of roots of unity of mixed orders.
 """
 
 from __future__ import annotations
@@ -123,6 +123,23 @@ def test_nonzero_elements_have_a_multiplicative_inverse(a):
         inv = a.invert()
         assert a * inv == rational(1)
         assert inv * a == rational(1)
+
+
+@given(field_elements(), field_elements())
+def test_sign_of_real_elements_is_decided_exactly(a, b):
+    # a conj(a) - b conj(b) is real; its sign flips under negation and
+    # matches the complex embedding wherever that is far from 0
+    x = a * a.conjugate() - b * b.conjugate()
+    assert x.is_real()
+    if x.is_zero:
+        assert not x.is_positive() and not (-x).is_positive()
+        return
+    assert x.is_positive() is not (-x).is_positive()
+    value = x.to_complex().real
+    if abs(value) > 1e-9:
+        assert x.is_positive() is (value > 0)
+    assert (a * a.conjugate()).is_positive() is not a.is_zero
+    assert not (a * root_of_unity(4, 1) * a.conjugate()).is_positive()
 
 
 # -- lift on its own -------------------------------------------------------------

@@ -209,6 +209,22 @@ def test_proportional_positive_rejects_sign_flip_and_phase():
     assert not proportional_positive(root_of_unity(4, 1) * phi, phi)
 
 
+# 2 cos(2 pi / 7) = zeta_7 + zeta_7^6 to 45 digits, a root of x^3 + x^2 - 2x - 1
+TWO_COS_2PI_7 = Fraction("1.246979603717467061050009768008479621264549462")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_proportional_positive_decides_a_sign_below_float_resolution(sign):
+    x = TWO_COS_2PI_7
+    assert abs(x ** 3 + x ** 2 - 2 * x - 1) < Fraction(1, 10 ** 40)
+    # lam is within 1e-20 of 0, far below the spacing of doubles near 1.25
+    lam = rational(x + sign * Fraction(1, 10 ** 20)) - (root_of_unity(7, 1) + root_of_unity(7, 6))
+    assert lam.is_real() and not lam.is_zero
+    phi = bell_state("phi+")
+    assert proportional_positive(lam * phi, phi) is (sign > 0)
+    assert proportional_positive(-lam * phi, phi) is (sign < 0)
+
+
 def test_state_json_round_trip():
     for kind in BELL_KINDS:
         s = bell_state(kind)
