@@ -27,15 +27,14 @@ pivoting and this keeps every result deterministic.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm, prod
 
 import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
                        as_single_leg)
-from .scalar import (CyclotomicNumber, _power_residues, _row_reduce, as_scalar, rational,
-                     root_of_unity)
+from .scalar import (CyclotomicNumber, _canonical, _power_residues, _row_reduce, as_scalar,
+                     rational, root_of_unity)
 
 
 class SingularMatrixError(ValueError):
@@ -393,15 +392,15 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
     entries = [(i, v) for i, v in entries if not v.is_zero]
     size = prod(shape)
     big = lcm(*shape, *(v.order for _, v in entries))
-    denom = lcm(*(c.denominator for _, v in entries for c in v.coeffs))
+    denom = lcm(*(v.den for _, v in entries))
     cells, powers, ints = [], [], []
     for i, v in entries:
-        step = big // v.order
-        for k, c in enumerate(v.coeffs):
-            if c:
+        step, scale_v = big // v.order, denom // v.den
+        for k, x in enumerate(v.nums):
+            if x:
                 cells.append(i)
                 powers.append(k * step)
-                ints.append(c.numerator * (denom // c.denominator))
+                ints.append(x * scale_v)
     table = _power_residues(big, big - 1)[:big]  # x^k mod the cyclotomic polynomial
     # an axis of length n multiplies the largest integer by at most n, the
     # reduction by at most big times the largest residue
@@ -420,8 +419,7 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
     for row in map(tuple, reduced.tolist()):
         value = made.get(row)
         if value is None:
-            value = made[row] = (CyclotomicNumber(big, tuple(Fraction(x, denom) for x in row))
-                                 if any(row) else zero)
+            value = made[row] = _canonical(big, row, denom) if any(row) else zero
         out.append(value)
     return out
 
@@ -541,7 +539,7 @@ class MonomialOps(ExactOps):
     def tensor(self, t: TensorElement) -> MonomialMatrix:
         if t.spec != self.spec:
             raise ValueError("group spec mismatch")
-        key = ("tensor", t.legs, tuple((k, c.order, c.coeffs) for k, c in t.terms.items()))
+        key = ("tensor", t.legs, tuple((k, c.order, c.nums, c.den) for k, c in t.terms.items()))
         return self._cached(key, lambda: self._diagonal(t))
 
     def _diagonal(self, t: TensorElement) -> MonomialMatrix:
@@ -566,7 +564,7 @@ class MonomialOps(ExactOps):
         return a @ b
 
     def matrix(self, m: Matrix) -> MonomialMatrix:
-        key = ("matrix", m.rows, m.cols, tuple((e.order, e.coeffs) for e in m.entries))
+        key = ("matrix", m.rows, m.cols, tuple((e.order, e.nums, e.den) for e in m.entries))
         return self._cached(key, lambda: self._certify(m))
 
     def _certify(self, m: Matrix) -> MonomialMatrix:

@@ -1,12 +1,24 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
-A value of order L is stored canonically as a polynomial in
-zeta_L = exp(2*pi*i/L), reduced modulo the L-th cyclotomic polynomial,
-with Fraction coefficients.  Canonical reduction makes equality decidable
-by comparing coefficient tuples at a common order; order 1 encodes the
-plain rationals.  Operands of different orders are lifted to the lcm
-order before combining; results are never moved back to a smaller field
-automatically (``descend`` does that on request).
+A value of order L is a polynomial in zeta_L = exp(2*pi*i/L), reduced
+modulo the L-th cyclotomic polynomial, so that its power basis has deg =
+phi(L) entries.  It is stored as integer numerators ``nums``, one per
+power, over one positive integer denominator ``den``, in canonical form:
+gcd(nums..., den) = 1, and zero is all-zero numerators over 1.  Equality
+at one order is tuple equality; order 1 encodes the plain rationals.
+
+A product is an integer convolution, reduced once by the residues of x^k
+for k <= 2 deg - 2 (a table filled when the order is first used) and
+divided by one gcd; a product with an order-1 operand is an integer
+scale.  A sum puts both operands over a common denominator.  Operands of
+different orders are lifted to the lcm order before combining; results are
+never moved back to a smaller field automatically (``descend`` does that
+on request).
+
+``Fraction`` appears only at the edges: the constructor accepts int and
+Fraction coefficients, the ``coeffs`` property returns them as Fractions
+(for JSON, text, the exact sign and descent), ``invert`` runs the extended
+gcd over Q[x], and the row reduction works on Fractions or values alike.
 
 All values are immutable and every operation is pure, so values can be
 shared freely between threads.
@@ -19,7 +31,7 @@ import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 Rational = Fraction
 
@@ -84,36 +96,72 @@ def _power_residues(order: int, top: int) -> list[tuple[int, ...]]:
     return table
 
 
-def _from_power_dict(order: int, powers: dict[int, Fraction]) -> "CyclotomicNumber":
-    deg = _degree(order)
-    coeffs = [_ZERO] * deg
-    if powers:
-        top = max(powers)
-        table = _power_residues(order, top) if top >= deg else None
-        for k, c in powers.items():
-            if not c:
-                continue
-            if k < deg:
-                coeffs[k] += c
-            else:
-                for i, r in enumerate(table[k]):
-                    if r:
-                        coeffs[i] += c * r
-    return CyclotomicNumber(order, tuple(coeffs))
+# sparse residue rows ((m, r), ...) of x^k for k up to max(order - 1,
+# 2 deg - 2), enough for products, lifts and conjugates; filled once per
+# order from _power_residues (a racing thread builds the same rows)
+_REDUCTION_ROWS: dict[int, tuple] = {}
+
+
+def _reduction_rows(order: int) -> tuple:
+    rows = _REDUCTION_ROWS.get(order)
+    if rows is None:
+        deg = _degree(order)
+        table = _power_residues(order, max(order - 1, 2 * deg - 2))
+        rows = _REDUCTION_ROWS.setdefault(order, tuple(
+            tuple((m, r) for m, r in enumerate(row) if r) for row in table))
+    return rows
+
+
+_new = object.__new__
+
+
+def _canonical(order: int, nums: tuple[int, ...], den: int) -> "CyclotomicNumber":
+    """The value nums/den of the given order (den > 0), divided by one gcd."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(x // g for x in nums)
+        den //= g
+    x = _new(CyclotomicNumber)
+    x.order, x.nums, x.den = order, nums, den
+    return x
+
+
+def _from_powers(order: int, powers, den: int) -> "CyclotomicNumber":
+    """sum c zeta_order^k / den over the (k, c) pairs of powers, with
+    integer c and k at most the top of the reduction rows."""
+    rows = _reduction_rows(order)
+    out = [0] * _degree(order)
+    for k, c in powers:
+        if c:
+            for m, r in rows[k]:
+                out[m] += c * r
+    return _canonical(order, tuple(out), den)
 
 
 class CyclotomicNumber:
-    """One element of Q(zeta_order) in the canonical power basis."""
+    """One element of Q(zeta_order): integer numerators ``nums`` over the
+    power basis and one positive denominator ``den``, in canonical form."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
         if order < 1:
             raise ValueError("order must be a positive integer")
         if len(coeffs) != _degree(order):
             raise ValueError("coefficient vector length does not match the order")
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("cyclotomic coefficients must be integers or Fractions")
+        fracs = [Fraction(c) for c in coeffs]
+        # with den the lcm of reduced denominators, gcd(nums..., den) = 1
+        den = lcm(*(c.denominator for c in fracs))
         self.order = order
-        self.coeffs = coeffs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- construction ------------------------------------------------
 
@@ -124,13 +172,13 @@ class CyclotomicNumber:
         if order % self.order:
             raise ValueError("can only lift to a multiple of the current order")
         step = order // self.order
-        return _from_power_dict(order, {k * step: c for k, c in enumerate(self.coeffs) if c})
+        return _from_powers(order, ((k * step, x) for k, x in enumerate(self.nums)), self.den)
 
     # -- predicates --------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -164,25 +212,29 @@ class CyclotomicNumber:
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CyclotomicNumber else _coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero:
+        if not any(self.nums):
             return o
-        if o.is_zero:
+        if not any(o.nums):
             return self
-        if self.order == o.order:
-            return CyclotomicNumber(
-                self.order, tuple(x + y for x, y in zip(self.coeffs, o.coeffs))
-            )
-        n = lcm(self.order, o.order)
-        a, b = self.lift(n), o.lift(n)
-        return CyclotomicNumber(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = self, o
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.order, tuple(x + y for x, y in zip(a.nums, b.nums)), da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _canonical(a.order, tuple(x * sa + y * sb for x, y in zip(a.nums, b.nums)),
+                          da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
+        return _canonical(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -197,33 +249,27 @@ class CyclotomicNumber:
         return o + (-self)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CyclotomicNumber else _coerce(other)
         if o is None:
             return NotImplemented
         if self.order == 1:
-            c = self.coeffs[0]
-            return CyclotomicNumber(o.order, tuple(c * y for y in o.coeffs))
+            c = self.nums[0]
+            return _canonical(o.order, tuple(c * y for y in o.nums), self.den * o.den)
         if o.order == 1:
-            c = o.coeffs[0]
-            return CyclotomicNumber(self.order, tuple(c * x for x in self.coeffs))
-        n = lcm(self.order, o.order)
-        a, b = self.lift(n), o.lift(n)
-        deg = len(a.coeffs)
-        nza = [(i, c) for i, c in enumerate(a.coeffs) if c]
-        nzb = [(j, c) for j, c in enumerate(b.coeffs) if c]
-        out = [_ZERO] * deg
-        table = _power_residues(n, 2 * deg - 2)
-        for i, ca in nza:
-            for j, cb in nzb:
-                c = ca * cb
-                k = i + j
-                if k < deg:
-                    out[k] += c
-                else:
-                    for m, r in enumerate(table[k]):
-                        if r:
-                            out[m] += c * r
-        return CyclotomicNumber(n, tuple(out))
+            c = o.nums[0]
+            return _canonical(self.order, tuple(c * x for x in self.nums), self.den * o.den)
+        a, b = self, o
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        deg = len(a.nums)
+        conv = [0] * (2 * deg - 1)
+        nzb = [(j, y) for j, y in enumerate(b.nums) if y]
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in nzb:
+                    conv[i + j] += x * y
+        return _from_powers(a.order, enumerate(conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -260,35 +306,35 @@ class CyclotomicNumber:
         if self.is_zero:
             raise ZeroDivisionError("inverting the zero cyclotomic number")
         if self.order == 1:
-            return rational(_ONE / self.coeffs[0])
+            num = self.nums[0]
+            return _canonical(1, (self.den if num > 0 else -self.den,), abs(num))
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _poly_half_xgcd(list(self.coeffs), phi)
+        g, s = _poly_half_xgcd([Fraction(x) for x in self.nums], phi)
         g = _trim(g)
         if len(g) != 1:
             raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        c = g[0]
-        return _from_power_dict(self.order, {i: v / c for i, v in enumerate(s) if v})
+        # nums * s = g modulo phi, so the inverse of nums / den is s * den / g
+        s = [v * self.den / g[0] for v in s]
+        den = lcm(*(v.denominator for v in s))
+        return _from_powers(self.order, [(i, v.numerator * (den // v.denominator))
+                                         for i, v in enumerate(s)], den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation: zeta^k maps to zeta^(order - k), linearly."""
         n = self.order
-        powers: dict[int, Fraction] = {}
-        for k, c in enumerate(self.coeffs):
-            if c:
-                p = (n - k) % n
-                powers[p] = powers.get(p, _ZERO) + c
-        return _from_power_dict(n, powers)
+        return _from_powers(n, ((-k % n, x) for k, x in enumerate(self.nums)), self.den)
 
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is CyclotomicNumber else _coerce(other)
         if o is None:
             return NotImplemented
-        if self.order == o.order:
-            return self.coeffs == o.coeffs
-        n = lcm(self.order, o.order)
-        return self.lift(n).coeffs == o.lift(n).coeffs
+        a, b = self, o
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # mixed-order equality makes a consistent hash impractical
 
@@ -296,11 +342,12 @@ class CyclotomicNumber:
 
     def to_complex(self) -> complex:
         """Numerical embedding with zeta_order = exp(2*pi*i/order)."""
+        # x / den rounds the exact quotient once, as float(Fraction) does
         total = 0j
-        n = self.order
-        for k, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * k / n)
+        n, den = self.order, self.den
+        for k, x in enumerate(self.nums):
+            if x:
+                total += x / den * cmath.exp(2j * cmath.pi * k / n)
         return total
 
     def descend(self) -> "CyclotomicNumber":
@@ -329,14 +376,18 @@ class CyclotomicNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicNumber":
-        """Inverse of to_json; raises ValueError on malformed input."""
+        """Inverse of to_json; raises ValueError on malformed input, such as
+        a field that is not a JSON integer (a float, a bool or a string)."""
         try:
-            order = int(data["order"])
-            coeffs = tuple(Fraction(int(n), int(d)) for n, d in data["coeffs"])
+            order, pairs = data["order"], [tuple(pair) for pair in data["coeffs"]]
+            fields = [order, *(v for pair in pairs for v in pair)]
+            if any(type(v) is not int for v in fields) or any(len(p) != 2 for p in pairs):
+                raise TypeError
+            coeffs = tuple(Fraction(n, d) for n, d in pairs)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             raise ValueError("cyclotomic number JSON needs an integer 'order' and "
-                             "'coeffs' as [numerator, denominator] pairs with "
-                             "nonzero denominators") from None
+                             "'coeffs' as [numerator, denominator] integer pairs "
+                             "with nonzero denominators") from None
         return cls(order, coeffs)
 
     def __str__(self) -> str:
@@ -407,7 +458,9 @@ def as_scalar(value) -> CyclotomicNumber:
 
 def rational(value) -> CyclotomicNumber:
     """Embed an integer or Fraction as an order-1 value."""
-    return CyclotomicNumber(1, (Fraction(value),))
+    if type(value) is int:
+        return _canonical(1, (value,), 1)
+    return CyclotomicNumber(1, (value,))
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +468,7 @@ def root_of_unity(order: int, power: int = 1) -> CyclotomicNumber:
     """Canonical form of zeta_order^power, i.e. exp(2*pi*i*power/order)."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _from_power_dict(order, {power % order: _ONE})
+    return _from_powers(order, [(power % order, 1)], 1)
 
 
 # -- small polynomial helpers over Fraction ---------------------------

@@ -281,6 +281,9 @@ def _write_r_matrix(tmp_path, payload):
 @pytest.mark.parametrize("payload", [
     {"rows": 1, "cols": 1},
     {"rows": 1, "cols": 1, "entries": [{"order": 1, "coeffs": [[1, 0]]}]},
+    # non-integer JSON numbers were truncated and a different matrix checked
+    {"rows": 1, "cols": 1, "entries": [{"order": 1, "coeffs": [[1.5, 2]]}]},
+    {"rows": 1, "cols": 1, "entries": [{"order": 1.0, "coeffs": [[1, 1]]}]},
 ])
 def test_malformed_r_matrix_exits_two_with_one_line_error(tmp_path, capsys, payload):
     code, _, err = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",

@@ -53,6 +53,11 @@ CASES = {
     "check_223_quasitriangular_fused.json": ["check", "--orders", "2,2,3", "--which",
                                              "quasitriangular", "--form", "fused", "--json"],
     "check_12_ybe.txt": ["check", "--orders", "12", "--which", "ybe"],
+    # fractional Q(zeta_6) amplitudes such as 1/6 + (-1/6)*z6 pin the scalar format
+    "braid_6_word.txt": ["braid", "--orders", "6", "--strands", "2", "--word", "1",
+                         "--state", "05"],
+    "braid_6_word.json": ["braid", "--orders", "6", "--strands", "2", "--word", "1",
+                          "--state", "05", "--json"],
 }
 
 GEN_R_FILES = ("universal_r.json", "gamma_r.json", "flip.json", "braided_r.json")
@@ -68,23 +73,27 @@ def test_report_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
-def test_gen_r_matches_golden(tmp_path, capsys):
+def _gen_r_matches_golden(orders: str, name: str, tmp_path, capsys) -> None:
     out_dir = tmp_path / "gen"
-    assert main(["gen-r", "--orders", "2,2", "--output", str(out_dir)]) == 0
+    assert main(["gen-r", "--orders", orders, "--output", str(out_dir)]) == 0
     report = _normalise(capsys.readouterr().out, out_dir)
-    assert report == (GOLDEN / "gen_r_22.txt").read_text()
-    for name in GEN_R_FILES:
-        assert (out_dir / name).read_text() == (GOLDEN / "gen_r_22" / name).read_text()
+    assert report == (GOLDEN / f"{name}.txt").read_text()
+    for file in GEN_R_FILES:
+        assert (out_dir / file).read_text() == (GOLDEN / name / file).read_text()
+
+
+def test_gen_r_matches_golden(tmp_path, capsys):
+    _gen_r_matches_golden("2,2", "gen_r_22", tmp_path, capsys)
 
 
 def test_gen_r_order_three_matches_golden(tmp_path, capsys):
     # entries in Q(zeta_3), where every gen_r_22 entry is rational
-    out_dir = tmp_path / "gen"
-    assert main(["gen-r", "--orders", "3", "--output", str(out_dir)]) == 0
-    report = _normalise(capsys.readouterr().out, out_dir)
-    assert report == (GOLDEN / "gen_r_3.txt").read_text()
-    for name in GEN_R_FILES:
-        assert (out_dir / name).read_text() == (GOLDEN / "gen_r_3" / name).read_text()
+    _gen_r_matches_golden("3", "gen_r_3", tmp_path, capsys)
+
+
+def test_gen_r_order_four_matches_golden(tmp_path, capsys):
+    # fractional Q(zeta_4) entries such as 1/4 beside zero coefficients 0/1
+    _gen_r_matches_golden("4", "gen_r_4", tmp_path, capsys)
 
 
 def test_braid_output_matches_golden(tmp_path, capsys):

@@ -5,12 +5,16 @@ Inverse, rank and descent share one row reduction (scalar._row_reduce);
 these tests pin it on small matrices whose entries are small integers
 times roots of unity of order 3 or 4, so products mix the two fields.
 The field axioms, lift and the sign of real elements are checked on sums
-of roots of unity of mixed orders.
+of roots of unity of mixed orders.  Every scalar operation is compared
+with a small independent reference kept here: Fraction polynomials
+reduced modulo the cyclotomic polynomial, built from the Moebius product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from hopfbraid.floatback import matrix_complex
 from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix,
                               kron)
-from hopfbraid.scalar import rational, root_of_unity
+from hopfbraid.scalar import CyclotomicNumber, rational, root_of_unity
 
 
 @st.composite
@@ -155,6 +159,212 @@ def test_lift_keeps_the_value_and_composes(x, k, j):
     twice = once.lift(x.order * k * j)
     direct = x.lift(x.order * k * j)
     assert (twice.order, twice.coeffs) == (direct.order, direct.coeffs)
+
+
+# -- the scalar layer against a reference ---------------------------------------
+#
+# A reference value is (order, list of Fraction coefficients in the power
+# basis).  Phi_n is the Moebius product prod_{d | n} (x^d - 1)^mu(n/d), a
+# different construction from the repeated division the package uses.
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_poly_divmod(a, b):
+    """Quotient and remainder of a by the monic b."""
+    a, q = list(a), [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1]
+        q[k] = c
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    return q, a[:len(b) - 1]
+
+
+@lru_cache(maxsize=None)
+def _ref_phi(n: int) -> tuple:
+    num, den = [Fraction(1)], [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d == 0 and _mobius(n // d):
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if _mobius(n // d) > 0:
+                num = _ref_poly_mul(num, factor)
+            else:
+                den = _ref_poly_mul(den, factor)
+    quotient, rest = _ref_poly_divmod(num, den)
+    assert not any(rest)
+    return tuple(quotient)
+
+
+def _ref_reduce(n: int, powers: dict) -> tuple:
+    """The reference value sum c zeta_n^k over (k, c) in powers."""
+    poly = [Fraction(0)] * (max(powers, default=0) + 1)
+    for k, c in powers.items():
+        poly[k] += c
+    phi = _ref_phi(n)
+    rest = _ref_poly_divmod(poly, phi)[1] if len(poly) >= len(phi) else poly
+    return n, rest + [Fraction(0)] * (len(phi) - 1 - len(rest))
+
+
+def _ref(x: CyclotomicNumber) -> tuple:
+    return x.order, list(x.coeffs)
+
+
+def _ref_lift(a, n):
+    m, c = a
+    return _ref_reduce(n, {k * (n // m): v for k, v in enumerate(c)})
+
+
+def _ref_galois(a, t):
+    """The automorphism zeta -> zeta^t."""
+    n, c = a
+    powers: dict = {}
+    for k, v in enumerate(c):
+        powers[k * t % n] = powers.get(k * t % n, 0) + v
+    return _ref_reduce(n, powers)
+
+
+def _ref_add(a, b):
+    n = lcm(a[0], b[0])
+    return n, [x + y for x, y in zip(_ref_lift(a, n)[1], _ref_lift(b, n)[1])]
+
+
+def _ref_mul(a, b):
+    n = lcm(a[0], b[0])
+    poly = _ref_poly_mul(_ref_lift(a, n)[1], _ref_lift(b, n)[1])
+    return _ref_reduce(n, dict(enumerate(poly)))
+
+
+def _ref_equal(a, b):
+    n = lcm(a[0], b[0])
+    return _ref_lift(a, n) == _ref_lift(b, n)
+
+
+def _ref_smallest_order(a):
+    """The least divisor m of the order with the value in Q(zeta_m): the
+    value is fixed by every zeta -> zeta^t with t = 1 mod m."""
+    n = a[0]
+    return next(m for m in range(1, n + 1) if n % m == 0 and all(
+        _ref_galois(a, t) == a for t in range(1, n + 1, m) if gcd(t, n) == 1))
+
+
+def _ref_str(a) -> str:
+    n, c = a
+    parts = []
+    for k, v in enumerate(c):
+        if v:
+            base = f"z{n}" if k == 1 else f"z{n}^{k}"
+            parts.append(str(v) if k == 0 else base if v == 1 else f"-{base}"
+                         if v == -1 else f"({v})*{base}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def _assert_canonical(x: CyclotomicNumber) -> None:
+    """Integer numerators over one positive denominator, sharing no factor
+    with it; zero is 0/1; ``coeffs`` is still the tuple of Fractions."""
+    deg = len(_ref_phi(x.order)) - 1
+    assert type(x.den) is int and x.den >= 1
+    assert type(x.nums) is tuple and len(x.nums) == deg
+    assert all(type(v) is int for v in x.nums)
+    assert gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+    assert type(x.coeffs) is tuple and len(x.coeffs) == deg
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == tuple(Fraction(v, x.den) for v in x.nums)
+
+
+@st.composite
+def cyclotomic_values(draw):
+    """A value of one of ORDERS, with coefficients whose denominators differ
+    (such as 1/2 + (1/3) z), some of them zero."""
+    order = draw(st.sampled_from(ORDERS))
+    coeffs = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6))) * draw(
+        st.sampled_from((0, 1, 1))) for _ in range(len(_ref_phi(order)) - 1)]
+    return CyclotomicNumber(order, tuple(coeffs))
+
+
+@given(cyclotomic_values(), cyclotomic_values())
+def test_ring_operations_match_the_reference(a, b):
+    for x in (a, b):
+        _assert_canonical(x)
+    n = lcm(a.order, b.order)
+    expected = {"+": _ref_add(_ref(a), _ref(b)),
+                "-": _ref_add(_ref(a), (b.order, [-c for c in b.coeffs])),
+                "*": _ref_mul(_ref(a), _ref(b))}
+    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        _assert_canonical(got)
+        # a zero operand of a sum may leave the other operand's order
+        assert n % got.order == 0
+        assert _ref_lift(_ref(got), n) == expected[op], op
+        if op == "*" or got.order == n:
+            assert got.order == n
+    assert (a == b) is _ref_equal(_ref(a), _ref(b))
+    assert (a == a.lift(a.order * b.order)) and (a + b - b == a)
+
+
+@given(cyclotomic_values())
+def test_invert_conjugate_and_negation_match_the_reference(a):
+    neg = -a
+    _assert_canonical(neg)
+    assert _ref(neg) == (a.order, [-c for c in a.coeffs])
+    conj = a.conjugate()
+    _assert_canonical(conj)
+    assert _ref(conj) == _ref_galois(_ref(a), -1 % a.order)
+    if not any(a.coeffs):
+        assert a.is_zero
+        with pytest.raises(ZeroDivisionError):
+            a.invert()
+        return
+    assert not a.is_zero
+    inv = a.invert()
+    _assert_canonical(inv)
+    assert inv.order == a.order
+    assert _ref_mul(_ref(a), _ref(inv)) == _ref_reduce(a.order, {0: Fraction(1)})
+
+
+@given(cyclotomic_values(), st.sampled_from((1, 2, 3, 5)))
+def test_lift_and_descend_match_the_reference(a, k):
+    up = a.lift(a.order * k)
+    _assert_canonical(up)
+    assert _ref(up) == _ref_lift(_ref(a), a.order * k)
+    for x in (a, up):
+        down = x.descend()
+        _assert_canonical(down)
+        assert down.order == _ref_smallest_order(_ref(x))
+        assert _ref_lift(_ref(down), x.order) == _ref(x)
+
+
+@given(cyclotomic_values(), cyclotomic_values())
+def test_json_and_text_match_the_reference(a, b):
+    for x in (a, b, a * b):
+        data = x.to_json()
+        assert data == {"order": x.order,
+                        "coeffs": [[c.numerator, c.denominator] for c in _ref(x)[1]]}
+        back = CyclotomicNumber.from_json(data)
+        _assert_canonical(back)
+        assert _ref(back) == _ref(x)
+        assert str(x) == _ref_str(_ref(x))
 
 
 # -- exact against float ---------------------------------------------------------

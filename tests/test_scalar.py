@@ -210,10 +210,28 @@ def test_division():
     {"order": 1, "coeffs": [[1, 2, 3]]},
     {"order": 1, "coeffs": 7},
     "z",
+    # every field is a JSON integer: nothing is truncated or parsed
+    {"order": 1, "coeffs": [[1.5, 2]]},
+    {"order": 1, "coeffs": [[1, 2.0]]},
+    {"order": 2.7, "coeffs": [[1, 1]]},
+    {"order": True, "coeffs": [[1, 1]]},
+    {"order": 1, "coeffs": [[True, 1]]},
+    {"order": "3", "coeffs": [[1, 1], [0, 1]]},
+    {"order": 1, "coeffs": [["3", 1]]},
+    {"order": 0, "coeffs": [[1, 1]]},
+    {"order": 3, "coeffs": [[1, 1]]},
 ])
 def test_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         CyclotomicNumber.from_json(data)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, 1j, "1", None])
+def test_constructor_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError):
+        CyclotomicNumber(2, (coeff,))
+    with pytest.raises(TypeError):
+        rational(coeff)
 
 
 def test_power_table_growth_is_thread_safe():
