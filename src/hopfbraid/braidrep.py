@@ -6,11 +6,11 @@ universal_r; it satisfies the braid relation and powers the generators
 
     R'_i = I^(x)(i-1) (x) R' (x) I^(x)(N-i-1)
 
-on N strands (generator count N-1, total dimension d^N).  Braid words are
-applied to states in written order: the first letter is the generator that
-hits the state first, i.e. the rightmost factor of the evaluated matrix
-product.  A word is applied to a state letter by letter, so its d^N x d^N
-matrix is built only when it is asked for.
+on N strands (generator count N-1, total dimension d^N).  A word applies
+letter i as the two-qudit gate R' (or its inverse) to strands (i-1, i),
+through linalg.apply_on_qudits, in written order: the first letter is the
+rightmost factor of the evaluated matrix product.  No generator is built,
+and the word's d^N x d^N matrix only when it is asked for.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .linalg import (
     EXACT,
     Matrix,
     _action_image,
+    apply_on_qudits,
     flip_rows,
     invert_matrix,
     regular_representation,
@@ -34,7 +35,6 @@ class BraidedRMatrix:
 
     dimension: int
     matrix: Matrix
-    provenance: str = "external"
 
     def __post_init__(self):
         d = self.dimension
@@ -48,8 +48,7 @@ def braided_r(spec: GroupSpec, r: TensorElement | None = None) -> BraidedRMatrix
     if r is None:
         r = universal_r(spec)
     rep = regular_representation(spec)
-    return BraidedRMatrix(spec.dimension, braiding_map(rep, rep, r),
-                          provenance=f"orders {spec.orders}")
+    return BraidedRMatrix(spec.dimension, braiding_map(rep, rep, r))
 
 
 def _placed(m, d: int, index: int, strands: int, ops):
@@ -119,18 +118,12 @@ def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix,
     rightmost factor of the word's matrix.  With columns None they are the
     identity, so the result is the word's matrix; the empty word returns
     the columns unchanged."""
-    d = r.dimension
-    acc = Matrix.identity(d ** word.strands) if columns is None else columns
-    cache: dict[int, Matrix] = {}
-    inverse = None
+    d, n = r.dimension, word.strands
+    acc = Matrix.identity(d ** n) if columns is None else columns
+    inverse = invert_matrix(r.matrix) if any(x < 0 for x in word.letters) else None
     for letter in word.letters:
-        g = cache.get(letter)
-        if g is None:
-            if letter < 0 and inverse is None:
-                inverse = invert_matrix(r.matrix)
-            g = cache[letter] = _placed(r.matrix if letter > 0 else inverse, d, abs(letter),
-                                        word.strands, EXACT)
-        acc = g @ acc
+        gate = r.matrix if letter > 0 else inverse
+        acc = apply_on_qudits(gate, acc, d, n, (abs(letter) - 1, abs(letter)))
     return acc
 
 

@@ -23,6 +23,7 @@ import re
 import sys
 import time
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -155,10 +156,9 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     """Cost estimate of one check (a --which choice other than "all") at
     local dimension d: the entries of the largest matrix it builds, where
     path is "dense" (exact), "monomial" (MonomialOps, after a d^2 x d^2
-    certificate) or "float" (numpy).  Also used for ``braid`` with "braid"
-    and for ``gen-r`` with "gen-r".  Exact algebra-level checks build no
-    matrix (see transform_cells); the float backend lifts their three-leg
-    tensors into d^3-sided matrices."""
+    certificate) or "float" (numpy).  Also used for ``gen-r`` with "gen-r".
+    Exact algebra-level checks build no matrix (see transform_cells); the
+    float backend lifts their three-leg tensors into d^3-sided matrices."""
     legs = 2 if which == "gen-r" else CHOICES[which].legs
     if legs is None:
         return d ** 6 if path == "float" else 0
@@ -346,7 +346,7 @@ def cmd_check(args, argv) -> int:
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:
             raise ValueError("imported matrix is not d^2 x d^2")
-        external = BraidedRMatrix(side, m, provenance=f"file {args.r_matrix}")
+        external = BraidedRMatrix(side, m)
 
     def plan(which):
         """(local dimension, path); MonomialOps certifies only at the spec's d."""
@@ -395,10 +395,12 @@ def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
     report = Report(" ".join(argv), args.backend)
     word = BraidWord(args.strands, _parse_word(args.word))
-    _admit(matrix_entries(spec.dimension, "braid", word.strands, "dense"), "braid")
-    gate = braided_r(spec)
     d = spec.dimension
-    size = d ** word.strands
+    # the largest matrix that runs: R', the state column and each Schmidt
+    # matrix (d^N entries) or the word's; the cap refuses any d > 1 cheaply
+    size = d ** min(word.strands, 64)
+    _admit(max(d ** 4, size * size if args.output else size), "braid")
+    gate = braided_r(spec)
     report.add_info(f"word {list(word.letters)} on {word.strands} strands, "
                     f"local dimension {d}: matrix {size}x{size}")
 
@@ -412,21 +414,16 @@ def cmd_braid(args, argv) -> int:
         state = _parse_state(args.state, d, word.strands)
         column = evaluate_braid_word(word, gate, Matrix(size, 1, state.amps))
         image = StateVector(d, word.strands, column.entries)
-        for i, amp in enumerate(image.amps):
+        for digits, amp in zip(product(range(d), repeat=word.strands), image.amps):
             z = amp.to_complex()
             re, im = round(z.real, 6) + 0.0, round(z.imag, 6) + 0.0
-            digits = _index_digits(i, d, word.strands)
-            report.add_info(f"amp |{digits}>: {amp}  ~ {re:+.6f}{im:+.6f}j")
+            report.add_info(f"amp |{''.join(map(str, digits))}>: {amp}  ~ {re:+.6f}{im:+.6f}j")
         if d == 2 and word.strands == 2:
             report.add_info(f"concurrence: {concurrence(image):.6f}")
         for cut in range(1, word.strands):
             report.add_info(f"schmidt rank across cut {cut}: {schmidt_rank(image, cut)}")
 
     return report.emit(args.json)
-
-
-def _index_digits(index: int, d: int, n: int) -> str:
-    return "".join(str((index // d ** p) % d) for p in range(n - 1, -1, -1))
 
 
 def _parse_state(text: str, d: int, n: int) -> StateVector:
@@ -453,7 +450,7 @@ def cmd_compare_gates(args, argv) -> int:
         ("kl(1,-1,1,1)", kauffman_lomonaco_r(1, -1, 1, 1)),
         ("bell-matrix", bell_matrix()),
     ]:
-        ybe = "pass" if check_braid_relations(3, BraidedRMatrix(2, matrix, name)) else "fail"
+        ybe = "pass" if check_braid_relations(3, BraidedRMatrix(2, matrix)) else "fail"
         unitary = "yes" if matrix @ conjugate_transpose(matrix) == Matrix.identity(4) else "no"
         bell = "yes" if check_bell_actions(matrix) else "no"
         value = concurrence(apply_gate(matrix, probe))

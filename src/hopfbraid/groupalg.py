@@ -521,10 +521,12 @@ def tensor_to_json(t: TensorElement) -> dict:
 def tensor_from_json(data: dict) -> TensorElement:
     """Inverse of tensor_to_json; raises ValueError on malformed input."""
     try:
-        orders = tuple(int(n) for n in data["orders"])
-        legs = int(data["legs"])
-        terms = [(tuple(tuple(int(e) for e in leg) for leg in term["exps"]), term["coeff"])
+        orders, legs = tuple(data["orders"]), data["legs"]
+        terms = [(tuple(tuple(leg) for leg in term["exps"]), term["coeff"])
                  for term in data["terms"]]
+        fields = [*orders, legs, *(e for key, _ in terms for leg in key for e in leg)]
+        if any(type(v) is not int for v in fields):
+            raise TypeError
     except (KeyError, TypeError, ValueError):
         raise ValueError("tensor JSON needs integer 'orders' and 'legs' and a 'terms' "
                          "list of objects with integer 'exps' lists and a 'coeff'") from None

@@ -16,7 +16,9 @@ NotMonomialError is raised, so a caller can fall back to ``EXACT``.
 Each exact linear-algebra job has one implementation.  ``_action_image``
 is the one action routine: every regular image (``on_element``,
 ``on_tensor``) and every braiding map (braidrep) is the matrix of a tensor
-element acting on a tensor product of modules.  ``character_transform``
+element acting on a tensor product of modules.  ``apply_on_qudits`` places
+every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
+``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``character_transform``
 is the one change to the character basis: both the diagonals and the
 certificates of MonomialOps call it.  ``scalar._row_reduce`` is the one
 elimination: inverse, rank and field descent all call it.  It takes the
@@ -168,6 +170,42 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 row2 = i2 * b.cols
                 out.extend(av * b.entries[row2 + j2] for j2 in range(b.cols))
     return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def digit_offsets(d: int, n: int, positions) -> list[int]:
+    """Composite-index offsets of the digit strings on the given positions
+    of n qudits of dimension d, in lexicographic order (first position most
+    significant).  At d = 1 there is one string, and positions is not read."""
+    if d == 1:
+        return [0]
+    offsets = [0]
+    for p in positions:
+        offsets = [o + x * d ** (n - 1 - p) for o in offsets for x in range(d)]
+    return offsets
+
+
+def apply_on_qudits(gate: Matrix, columns: Matrix, d: int, n: int, positions) -> Matrix:
+    """The d^k x d^k gate applied to k qudit positions (the first one the
+    gate's most significant digit) of each column of a d^n-row matrix: the
+    placed gate's product with columns, summed in that product's order with
+    its zero terms skipped, so scalar for scalar, but never built."""
+    size, width = gate.cols, columns.cols
+    if gate.rows != size or size != d ** len(positions) or columns.rows != d ** n:
+        raise ValueError("gate shape does not match the targeted qudits")
+    # offsets in entries of the row-major columns
+    targets = [t * width for t in digit_offsets(d, n, positions)]
+    rest = [b * width for b in digit_offsets(d, n, (p for p in range(n) if p not in positions))]
+    gate_rows = [[(t, g) for t, g in zip(targets, gate.entries[r * size:(r + 1) * size])
+                  if not g.is_zero] for r in range(size)]
+    src = columns.entries
+    out = [rational(0)] * len(src)
+    for base in rest:
+        for j in range(base, base + width):
+            for target, terms in zip(targets, gate_rows):
+                products = [g * x for offset, g in terms if not (x := src[j + offset]).is_zero]
+                if products:
+                    out[j + target] = sum(products[1:], products[0])
+    return Matrix(columns.rows, width, out)
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:
@@ -614,7 +652,9 @@ def matrix_from_json(data: dict) -> Matrix:
     """Inverse of matrix_to_json for exact entries; raises ValueError on
     malformed input."""
     try:
-        rows, cols, entries = int(data["rows"]), int(data["cols"]), list(data["entries"])
+        rows, cols, entries = data["rows"], data["cols"], list(data["entries"])
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError
     except (KeyError, TypeError, ValueError):
         raise ValueError("matrix JSON needs integer 'rows' and 'cols' and an "
                          "'entries' list") from None

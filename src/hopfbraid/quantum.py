@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .braidrep import BraidedRMatrix
-from .linalg import EXACT, Matrix, exact_rank
+from .linalg import EXACT, Matrix, apply_on_qudits, digit_offsets, exact_rank
 from .scalar import CyclotomicNumber, as_scalar, rational, root_of_unity
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -122,35 +121,10 @@ def apply_gate(gate: Matrix, state: StateVector, targets=None) -> StateVector:
     if targets is None:
         targets = tuple(range(n))
     targets = tuple(int(t) for t in targets)
-    k = len(targets)
-    if len(set(targets)) != k or any(not 0 <= t < n for t in targets):
+    if len(set(targets)) != len(targets) or any(not 0 <= t < n for t in targets):
         raise ValueError("targets must be distinct qudit positions in range")
-    if gate.rows != gate.cols or gate.rows != d ** k:
-        raise ValueError("gate shape does not match the targeted qudits")
-    place = [d ** (n - 1 - p) for p in range(n)]
-    rest = [p for p in range(n) if p not in targets]
-    sub_size = d ** k
-    target_offsets = [
-        sum(dig * place[p] for dig, p in zip(tdigits, targets))
-        for tdigits in product(range(d), repeat=k)
-    ]
-    out = [rational(0)] * len(state.amps)
-    for rest_digits in product(range(d), repeat=len(rest)):
-        base = sum(dig * place[p] for dig, p in zip(rest_digits, rest))
-        idxs = [base + off for off in target_offsets]
-        col = [state.amps[i] for i in idxs]
-        for rr in range(sub_size):
-            acc = None
-            row_base = rr * gate.cols
-            for cc in range(sub_size):
-                g = gate.entries[row_base + cc]
-                a = col[cc]
-                if g.is_zero or a.is_zero:
-                    continue
-                p = g * a
-                acc = p if acc is None else acc + p
-            out[idxs[rr]] = acc if acc is not None else rational(0)
-    return StateVector(d, n, out)
+    image = apply_on_qudits(gate, Matrix(d ** n, 1, state.amps), d, n, targets)
+    return StateVector(d, n, image.entries)
 
 
 @dataclass(frozen=True)
@@ -223,15 +197,10 @@ def schmidt_rank(state: StateVector, cut=1) -> int:
         left = tuple(sorted(set(int(p) for p in cut)))
     if not left or len(left) >= n or any(not 0 <= p < n for p in left):
         raise ValueError("the cut must leave qudits on both sides")
-    right = tuple(p for p in range(n) if p not in left)
-    place = [d ** (n - 1 - p) for p in range(n)]
-    rows, cols = d ** len(left), d ** len(right)
-    entries = []
-    for ldig in product(range(d), repeat=len(left)):
-        lbase = sum(x * place[p] for x, p in zip(ldig, left))
-        for rdig in product(range(d), repeat=len(right)):
-            entries.append(state.amps[lbase + sum(x * place[p] for x, p in zip(rdig, right))])
-    return exact_rank(Matrix(rows, cols, entries))
+    right = [p for p in range(n) if p not in left]
+    rows, cols = digit_offsets(d, n, left), digit_offsets(d, n, right)
+    return exact_rank(Matrix(len(rows), len(cols),
+                             [state.amps[i + j] for i in rows for j in cols]))
 
 
 def kauffman_lomonaco_r(a, b, c, d) -> Matrix:
@@ -305,7 +274,9 @@ def state_to_json(state: StateVector) -> dict:
 def state_from_json(data: dict) -> StateVector:
     """Inverse of state_to_json; raises ValueError on malformed input."""
     try:
-        d, n, amps = int(data["d"]), int(data["n"]), list(data["amps"])
+        d, n, amps = data["d"], data["n"], list(data["amps"])
+        if type(d) is not int or type(n) is not int:
+            raise TypeError
     except (KeyError, TypeError, ValueError):
         raise ValueError("state JSON needs integer 'd' and 'n' and an 'amps' list") from None
     return StateVector(d, n, [CyclotomicNumber.from_json(a) for a in amps])

@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hopfbraid
 from hopfbraid import cli
+from hopfbraid.braidrep import BraidWord, braided_r, evaluate_braid_word
 from hopfbraid.cli import (CHOICES, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS, main,
                            matrix_entries, transform_cells)
+from hopfbraid.groupalg import GroupSpec
 from hopfbraid.linalg import Matrix, MonomialOps, matrix_from_json, matrix_to_json
+from hopfbraid.quantum import StateVector
 
 
 def run(capsys, *args):
@@ -177,22 +181,43 @@ def test_braid_state_action(capsys):
 
 
 def test_braid_state_builds_no_word_matrix(monkeypatch, tmp_path, capsys):
-    # --state alone applies the word to one column; only --output builds
-    # the 27x27 word matrix
-    widths = []
-    matmul = Matrix.__matmul__
+    # --state alone applies the word to one column: no matrix holds more
+    # entries than R' (3^4) or the state (3^3); only --output builds the
+    # 27x27 word matrix
+    shapes = []
+    init = Matrix.__init__
 
-    def spy(a, b):
-        widths.append(b.cols)
-        return matmul(a, b)
+    def spy(self, rows, cols, entries):
+        shapes.append((rows, cols))
+        init(self, rows, cols, entries)
 
-    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    monkeypatch.setattr(Matrix, "__init__", spy)
     argv = ["braid", "--orders", "3", "--strands", "3", "--word=1,-2,1,2", "--state", "012"]
     assert run(capsys, *argv)[0] == 0
-    assert widths and set(widths) == {1}
-    widths.clear()
+    assert (27, 1) in shapes
+    assert max(rows * cols for rows, cols in shapes) <= max(3 ** 4, 3 ** 3)
+    shapes.clear()
     assert run(capsys, *argv, "--output", str(tmp_path / "word.json"))[0] == 0
-    assert set(widths) == {1, 27}
+    assert {(rows, cols) for rows, cols in shapes if rows * cols > 3 ** 4} == {(27, 27)}
+
+
+def test_braid_state_on_ten_qubit_strands(capsys):
+    # each letter acts on two digits of the 2^10 amplitudes, so the guard
+    # prices the state column, not a 2^10 x 2^10 generator
+    letters = ([1, 2, 3, 4, 5, 6, 7, 8, 9, -9, -8, -7, -6, -5, -4, -3, -2, -1]
+               + [2, -4, 6, -8, 1, -3, 5, -7, 9, -1, 3, -5, 7, -9, 8, -6, 4, -2] + [1, 5, 9, 3])
+    word = BraidWord(10, letters)
+    assert len(word.letters) == 40
+    start = time.perf_counter()
+    code, out, err = run(capsys, "braid", "--orders", "2", "--strands", "10",
+                         f"--word={','.join(map(str, letters))}", "--state", "0101010101")
+    assert code == 0 and err == "" and time.perf_counter() - start < 10.0
+    assert "schmidt rank across cut 9:" in out
+    # R' is unitary, so the image of a basis state has norm exactly 1
+    state = StateVector.computational(2, "0101010101")
+    column = evaluate_braid_word(word, braided_r(GroupSpec((2,))),
+                                 Matrix(2 ** 10, 1, state.amps))
+    assert StateVector(2, 10, column.entries).norm_squared() == 1
 
 
 def test_r_matrix_help_names_the_choices_on_r_prime(capsys):
@@ -292,6 +317,16 @@ def test_malformed_r_matrix_exits_two_with_one_line_error(tmp_path, capsys, payl
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape", [{"rows": 1.9}, {"cols": "1"}, {"rows": True}])
+def test_r_matrix_with_a_non_integer_shape_exits_two(tmp_path, capsys, shape):
+    # int() used to read 1.9 as 1 and "1" as 1, and check the matrix
+    payload = {"rows": 1, "cols": 1, "entries": [{"order": 1, "coeffs": [[1, 1]]}], **shape}
+    code, out, err = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",
+                         "--r-matrix", _write_r_matrix(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix JSON needs integer") and err.count("\n") == 1
+
+
 # -- size guard: tested through the estimate, which allocates nothing ----------
 
 ADMITTED = [
@@ -358,11 +393,15 @@ def test_oversized_algebra_check_exits_two_before_building_a_tensor():
     assert done.stderr.count("\n") == 1
 
 
-def test_oversized_braid_exits_two_with_one_line_error(capsys):
-    # refused before any matrix is built
-    code, out, err = run(capsys, "braid", "--orders", "2", "--strands", "10")
-    assert code == 2 and out == ""
-    assert err.startswith("error: braid would build a matrix of") and err.count("\n") == 1
+def test_oversized_braid_exits_two_with_one_line_error(tmp_path, capsys):
+    # refused before any matrix is built: the 2^10 x 2^10 word matrix, and a
+    # state column of 2^19 amplitudes
+    for args in (("--strands", "10", "--output", str(tmp_path / "word.json")),
+                 ("--strands", "19", "--state", "0" * 19)):
+        code, out, err = run(capsys, "braid", "--orders", "2", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: braid would build a matrix of") and err.count("\n") == 1
+    assert not (tmp_path / "word.json").exists()
 
 
 def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):

@@ -39,6 +39,9 @@ CASES = {
     # a mixed-sign word applied to a state letter by letter, amplitudes in Q(zeta_4)
     "braid_4_word_mixed.json": ["braid", "--orders", "4", "--strands", "3",
                                 "--word=1,-2,2,1,-1,-2,1,2", "--state", "123", "--json"],
+    # letters 2 and -2 leave identity strands on both sides of R'
+    "braid_3_word_four_strands.json": ["braid", "--orders", "3", "--strands", "4",
+                                       "--word=2,-1,3,-2,1", "--state", "0121", "--json"],
     "compare_gates.json": ["compare-gates", "--json"],
     # the exact braid identities below are decided on monomial matrices
     "check_4_all.json": ["check", "--orders", "4", "--which", "all", "--json"],
@@ -96,14 +99,24 @@ def test_gen_r_order_four_matches_golden(tmp_path, capsys):
     _gen_r_matches_golden("4", "gen_r_4", tmp_path, capsys)
 
 
+def _braid_output_matches_golden(args: list[str], name: str, tmp_path, capsys) -> None:
+    path = tmp_path / "word.json"
+    assert main(["braid", *args, "--output", str(path)]) == 0
+    report = _normalise(capsys.readouterr().out, tmp_path)
+    assert report == (GOLDEN / f"{name}.txt").read_text()
+    assert path.read_text() == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_braid_output_matches_golden(tmp_path, capsys):
     # --output writes the word's matrix; --state applies the word to the state
-    path = tmp_path / "word.json"
-    assert main(["braid", "--orders", "3", "--strands", "3", "--word=2,-1,1,2,-2",
-                 "--state", "021", "--output", str(path)]) == 0
-    report = _normalise(capsys.readouterr().out, tmp_path)
-    assert report == (GOLDEN / "braid_3_word_output.txt").read_text()
-    assert path.read_text() == (GOLDEN / "braid_3_word_output.json").read_text()
+    _braid_output_matches_golden(["--orders", "3", "--strands", "3", "--word=2,-1,1,2,-2",
+                                  "--state", "021"], "braid_3_word_output", tmp_path, capsys)
+
+
+def test_braid_output_on_four_strands_matches_golden(tmp_path, capsys):
+    # the 16x16 word matrix of letters with identity strands on both sides
+    _braid_output_matches_golden(["--orders", "2", "--strands", "4", "--word=2,-3,1"],
+                                 "braid_2_word_output", tmp_path, capsys)
 
 
 def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):

@@ -258,3 +258,16 @@ _ONE_JSON = {"order": 1, "coeffs": [[1, 1]]}
 def test_tensor_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         tensor_from_json(data)
+
+
+@pytest.mark.parametrize("field", [
+    {"orders": [2.0]}, {"orders": ["2"]}, {"legs": 1.0}, {"legs": True},
+    # an exponent of 1.7 used to be read as 1, a different tensor element
+    {"terms": [{"exps": [[1.7]], "coeff": _ONE_JSON}]},
+    {"terms": [{"exps": [["1"]], "coeff": _ONE_JSON}]},
+])
+def test_tensor_from_json_accepts_only_integer_fields(field):
+    data = {"orders": [2], "legs": 1, "terms": [{"exps": [[1]], "coeff": _ONE_JSON}]}
+    assert len(tensor_from_json(data).terms) == 1
+    with pytest.raises(ValueError, match="integer 'orders' and 'legs'"):
+        tensor_from_json({**data, **field})

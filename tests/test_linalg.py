@@ -241,3 +241,12 @@ def test_matrix_json_float_export():
 def test_matrix_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         matrix_from_json(data)
+
+
+@pytest.mark.parametrize("shape", [{"rows": 1.9}, {"cols": "1"}, {"rows": 1.0},
+                                   {"cols": True}])
+def test_matrix_from_json_accepts_only_integer_shapes(shape):
+    data = {"rows": 1, "cols": 1, "entries": [{"order": 1, "coeffs": [[1, 1]]}]}
+    assert matrix_from_json(data) == Matrix.identity(1)
+    with pytest.raises(ValueError, match="integer 'rows' and 'cols'"):
+        matrix_from_json({**data, **shape})

@@ -8,6 +8,8 @@ The field axioms, lift and the sign of real elements are checked on sums
 of roots of unity of mixed orders.  Every scalar operation is compared
 with a small independent reference kept here: Fraction polynomials
 reduced modulo the cyclotomic polynomial, built from the Moebius product.
+Gates applied to chosen qudits, and Schmidt ranks, are compared with
+dense Kronecker-placed products and with numpy's rank.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfbraid.floatback import matrix_complex
-from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, exact_rank, invert_matrix,
-                              kron)
+from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, apply_on_qudits, exact_rank,
+                              invert_matrix, kron)
+from hopfbraid.quantum import StateVector, apply_gate, schmidt_rank
 from hopfbraid.scalar import CyclotomicNumber, rational, root_of_unity
 
 
@@ -396,3 +399,87 @@ def test_exact_inverse_matches_numpy_at_full_rank(a):
     if exact_rank(a) == a.rows:
         assert np.allclose(matrix_complex(invert_matrix(a)),
                            np.linalg.inv(matrix_complex(a)), rtol=0, atol=1e-9)
+
+
+# -- gates on chosen qudits ------------------------------------------------------
+
+
+def _stored(m: Matrix) -> list:
+    """Each entry as stored: its order, numerators and denominator."""
+    return [(e.order, e.nums, e.den) for e in m.entries]
+
+
+@st.composite
+def placements(draw):
+    """A local dimension d, a qudit count n <= 4 and a random exact gate on
+    the adjacent pair (i, i+1), with columns of width 1 to 3."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 4 if d == 2 else 3))
+    i = draw(st.integers(0, n - 2))
+    gate = Matrix(d * d, d * d, draw(st.lists(scalars(), min_size=d ** 4, max_size=d ** 4)))
+    width = draw(st.integers(1, 3))
+    columns = Matrix(d ** n, width, draw(st.lists(scalars(), min_size=d ** n * width,
+                                                  max_size=d ** n * width)))
+    return d, n, i, gate, columns
+
+
+@given(placements())
+def test_gate_on_an_adjacent_pair_is_the_kron_placed_product(case):
+    d, n, i, gate, columns = case
+    placed = kron(kron(Matrix.identity(d ** i), gate), Matrix.identity(d ** (n - i - 2)))
+    applied = apply_on_qudits(gate, columns, d, n, (i, i + 1))
+    # the same scalars, stored at the same orders as the dense product's
+    assert _stored(applied) == _stored(placed @ columns)
+
+
+def _move_to_front(d: int, n: int, targets) -> Matrix:
+    """The permutation |x_0 ... x_(n-1)> -> |x_t1 ... x_tk, the other digits in order>."""
+    order = list(targets) + [p for p in range(n) if p not in targets]
+    size = d ** n
+    entries = [0] * (size * size)
+    for j in range(size):
+        digits = [(j // d ** (n - 1 - p)) % d for p in range(n)]
+        i = 0
+        for p in order:
+            i = i * d + digits[p]
+        entries[i * size + j] = 1
+    return Matrix(size, size, entries)
+
+
+@given(st.data())
+def test_apply_gate_on_any_targets_is_the_permuted_kron_product(data):
+    d = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(2, 4 if d == 2 else 3))
+    targets = data.draw(st.permutations(range(n)).map(tuple))[:data.draw(st.integers(1, 2))]
+    k = len(targets)
+    gate = Matrix(d ** k, d ** k, data.draw(st.lists(scalars(), min_size=d ** (2 * k),
+                                                      max_size=d ** (2 * k))))
+    amps = data.draw(st.lists(scalars(), min_size=d ** n, max_size=d ** n))
+    if all(a.is_zero for a in amps):
+        amps[0] = rational(1)
+    p = _move_to_front(d, n, targets)
+    expected = p.transpose() @ kron(gate, Matrix.identity(d ** (n - k))) @ p \
+        @ Matrix(d ** n, 1, amps)
+    if all(a.is_zero for a in expected.entries):
+        with pytest.raises(ValueError, match="zero state"):
+            apply_gate(gate, StateVector(d, n, amps), targets)
+    else:
+        assert apply_gate(gate, StateVector(d, n, amps), targets).amps == expected.entries
+
+
+@given(st.data())
+def test_schmidt_rank_matches_numpy(data):
+    d = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(2, 4 if d == 2 else 3))
+    amps = data.draw(st.lists(st.integers(-2, 2), min_size=d ** n, max_size=d ** n))
+    if not any(amps):
+        amps[-1] = 1
+    cut = data.draw(st.one_of(
+        st.integers(1, n - 1),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True).map(tuple)))
+    left = list(range(cut)) if isinstance(cut, int) else sorted(cut)
+    right = [p for p in range(n) if p not in left]
+    # the amplitude tensor, left qudits as rows and right qudits as columns
+    split = np.array(amps, dtype=float).reshape((d,) * n).transpose(left + right)
+    expected = np.linalg.matrix_rank(split.reshape(d ** len(left), d ** len(right)))
+    assert schmidt_rank(StateVector(d, n, amps), cut) == expected

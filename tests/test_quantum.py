@@ -245,3 +245,11 @@ def test_state_json_round_trip():
 def test_state_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         state_from_json(data)
+
+
+@pytest.mark.parametrize("field", [{"d": 2.0}, {"d": "2"}, {"n": 1.5}, {"n": True}])
+def test_state_from_json_accepts_only_integer_d_and_n(field):
+    data = state_to_json(StateVector.computational(2, "1"))
+    assert state_from_json(data) == StateVector.computational(2, "1")
+    with pytest.raises(ValueError, match="integer 'd' and 'n'"):
+        state_from_json({**data, **field})
