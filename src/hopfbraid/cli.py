@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -327,6 +328,9 @@ class _Inputs:
 
 
 def cmd_check(args, argv) -> int:
+    # inf passes every float comparison, and nan or a negative value fails them all
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be a finite number above 0, not {args.tolerance:g}")
     spec = _parse_orders(args.orders)
     d = spec.dimension
     report = Report(" ".join(argv), args.backend, args.timings)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
                        as_single_leg)
-from .scalar import (CyclotomicNumber, _canonical, _power_residues, _row_reduce, as_scalar,
+from .scalar import (CyclotomicNumber, _canonical, _degree, _residues, _row_reduce, as_scalar,
                      rational, root_of_unity)
 
 
@@ -439,17 +439,22 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
                 cells.append(i)
                 powers.append(k * step)
                 ints.append(x * scale_v)
-    table = _power_residues(big, big - 1)[:big]  # x^k mod the cyclotomic polynomial
+    rows = _residues(big)[:big]  # x^k mod the cyclotomic polynomial
     # an axis of length n multiplies the largest integer by at most n, the
     # reduction by at most big times the largest residue
-    bound = max(map(abs, ints), default=0) * size * big * max(abs(r) for row in table for r in row)
+    top = max(abs(r) for row in rows for _, r in row)
+    bound = max(map(abs, ints), default=0) * size * big * top
     dtype = np.int64 if bound < 2 ** 63 else object
+    table = np.zeros((big, _degree(big)), dtype=dtype)
+    for k, row in enumerate(rows):
+        for m, r in row:
+            table[k, m] = r
     arr = np.zeros((size, big), dtype=dtype)
     arr[cells, powers] = np.array(ints, dtype=dtype)
     for n, sign in zip(shape, signs):
         # each pass moves its axis behind the others, so all passes restore the order
         arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
-    reduced = arr.reshape(size, big) @ np.array(table, dtype=dtype)
+    reduced = arr.reshape(size, big) @ table
     denom *= scale
     zero = rational(0)
     made: dict = {}

@@ -8,17 +8,22 @@ gcd(nums..., den) = 1, and zero is all-zero numerators over 1.  Equality
 at one order is tuple equality; order 1 encodes the plain rationals.
 
 A product is an integer convolution, reduced once by the residues of x^k
-for k <= 2 deg - 2 (a table filled when the order is first used) and
-divided by one gcd; a product with an order-1 operand is an integer
+and divided by one gcd; a product with an order-1 operand is an integer
 scale.  A sum puts both operands over a common denominator.  Operands of
 different orders are lifted to the lcm order before combining; results are
 never moved back to a smaller field automatically (``descend`` does that
-on request).
+on request).  The inverse is the product of the other Galois conjugates
+divided by the norm, which is a nonzero rational.
+
+Each order has one table of the residues of x^k modulo the cyclotomic
+polynomial, for every k a product, a lift or a Galois conjugate reaches.
+It is built whole on first use and published once, so it never changes
+after another thread can see it.
 
 ``Fraction`` appears only at the edges: the constructor accepts int and
 Fraction coefficients, the ``coeffs`` property returns them as Fractions
-(for JSON, text, the exact sign and descent), ``invert`` runs the extended
-gcd over Q[x], and the row reduction works on Fractions or values alike.
+(for JSON, text, the exact sign and descent), and the row reduction works
+on Fractions or values alike.
 
 All values are immutable and every operation is pure, so values can be
 shared freely between threads.
@@ -27,7 +32,6 @@ shared freely between threads.
 from __future__ import annotations
 
 import cmath
-import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +40,6 @@ from math import ceil, gcd, lcm
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -44,20 +47,25 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial of the given order.
 
     Ascending powers, monic, integer: order 1 gives (-1, 1) for x - 1.
-    Computed by exact division of x^order - 1 by the polynomials of all
-    proper divisors.
+    Computed by exact integer division of x^order - 1 by the (monic)
+    polynomials of all proper divisors.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    if order == 1:
-        return (-1, 1)
-    poly = [-_ONE] + [_ZERO] * (order - 1) + [_ONE]
+    poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            if rem:
+            div = cyclotomic_polynomial(d)
+            low = len(div) - 1
+            quot = [0] * (len(poly) - low)
+            for i in reversed(range(len(quot))):
+                c = quot[i] = poly[i + low]
+                for j, b in enumerate(div):
+                    poly[i + j] -= c * b
+            if any(poly[:low]):
                 raise ArithmeticError("polynomial division left a remainder")
-    return tuple(int(c) for c in poly)
+            poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -65,50 +73,26 @@ def _degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-# residues of x^k modulo the cyclotomic polynomial, per order, as integer
-# tuples; grown on demand and shared by all reductions at that order
-_POWER_TABLES: dict[int, list[tuple[int, ...]]] = {}
+# sparse residue rows ((m, r), ...) of x^k modulo the cyclotomic polynomial
+# for k up to max(order - 1, 2 deg - 2), enough for products, lifts and
+# Galois conjugates; one table per order, built whole and published with
+# setdefault, so a racing thread builds an equal table and drops it
+_RESIDUES: dict[int, tuple] = {}
 
 
-_POWER_LOCK = threading.Lock()
-
-
-def _power_residues(order: int, top: int) -> list[tuple[int, ...]]:
-    # rows are only ever appended, each in its final form, so a table that
-    # is already long enough can be read without the lock
-    table = _POWER_TABLES.get(order)
-    if table is not None and len(table) > top:
-        return table
-    with _POWER_LOCK:
+def _residues(order: int) -> tuple:
+    rows = _RESIDUES.get(order)
+    if rows is None:
         phi = cyclotomic_polynomial(order)
         deg = len(phi) - 1
-        table = _POWER_TABLES.setdefault(order, [])
-        if not table:
-            for k in range(deg):
-                row = [0] * deg
-                row[k] = 1
-                table.append(tuple(row))
-        while len(table) <= top:
-            prev = table[-1]
-            lead = prev[deg - 1]
-            row = [-lead * phi[0]] + [prev[i - 1] - lead * phi[i] for i in range(1, deg)]
-            table.append(tuple(row))
-    return table
-
-
-# sparse residue rows ((m, r), ...) of x^k for k up to max(order - 1,
-# 2 deg - 2), enough for products, lifts and conjugates; filled once per
-# order from _power_residues (a racing thread builds the same rows)
-_REDUCTION_ROWS: dict[int, tuple] = {}
-
-
-def _reduction_rows(order: int) -> tuple:
-    rows = _REDUCTION_ROWS.get(order)
-    if rows is None:
-        deg = _degree(order)
-        table = _power_residues(order, max(order - 1, 2 * deg - 2))
-        rows = _REDUCTION_ROWS.setdefault(order, tuple(
-            tuple((m, r) for m, r in enumerate(row) if r) for row in table))
+        row, dense = [1] + [0] * (deg - 1), []
+        for _ in range(max(order, 2 * deg - 1)):
+            dense.append(row)
+            # x * row, with its x^deg term replaced by the lower terms of phi
+            lead, row = row[-1], [0] + row[:-1]
+            row = [v - lead * c for v, c in zip(row, phi)]
+        rows = _RESIDUES.setdefault(order, tuple(
+            tuple((m, r) for m, r in enumerate(row) if r) for row in dense))
     return rows
 
 
@@ -128,8 +112,8 @@ def _canonical(order: int, nums: tuple[int, ...], den: int) -> "CyclotomicNumber
 
 def _from_powers(order: int, powers, den: int) -> "CyclotomicNumber":
     """sum c zeta_order^k / den over the (k, c) pairs of powers, with
-    integer c and k at most the top of the reduction rows."""
-    rows = _reduction_rows(order)
+    integer c and k at most the top of the residue table."""
+    rows = _residues(order)
     out = [0] * _degree(order)
     for k, c in powers:
         if c:
@@ -301,28 +285,28 @@ class CyclotomicNumber:
         return acc
 
     def invert(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, via the extended polynomial gcd with the
-        cyclotomic polynomial; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, a nonzero rational; raises ZeroDivisionError on zero."""
         if self.is_zero:
             raise ZeroDivisionError("inverting the zero cyclotomic number")
-        if self.order == 1:
-            num = self.nums[0]
-            return _canonical(1, (self.den if num > 0 else -self.den,), abs(num))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _poly_half_xgcd([Fraction(x) for x in self.nums], phi)
-        g = _trim(g)
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        # nums * s = g modulo phi, so the inverse of nums / den is s * den / g
-        s = [v * self.den / g[0] for v in s]
-        den = lcm(*(v.denominator for v in s))
-        return _from_powers(self.order, [(i, v.numerator * (den // v.denominator))
-                                         for i, v in enumerate(s)], den)
+        n = self.order
+        others = rational(1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * self._galois(k)
+        norm = self * others  # nums (a, 0, ..., 0) over den
+        a = norm.nums[0]
+        scale = norm.den if a > 0 else -norm.den
+        return _canonical(n, tuple(scale * x for x in others.nums), others.den * abs(a))
 
     def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugation: zeta^k maps to zeta^(order - k), linearly."""
+        """Complex conjugation, the Galois automorphism zeta -> zeta^-1."""
+        return self._galois(-1)
+
+    def _galois(self, k: int) -> "CyclotomicNumber":
+        """The automorphism zeta -> zeta^k, for k a unit modulo the order."""
         n = self.order
-        return _from_powers(n, ((-k % n, x) for k, x in enumerate(self.nums)), self.den)
+        return _from_powers(n, ((j * k % n, x) for j, x in enumerate(self.nums)), self.den)
 
     # -- comparisons ---------------------------------------------------
 
@@ -469,53 +453,6 @@ def root_of_unity(order: int, power: int = 1) -> CyclotomicNumber:
     if order < 1:
         raise ValueError("order must be a positive integer")
     return _from_powers(order, [(power % order, 1)], 1)
-
-
-# -- small polynomial helpers over Fraction ---------------------------
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub_scaled(a: list[Fraction], b: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    # a - q*b
-    out = list(a) + [_ZERO] * max(0, len(b) + len(q) - 1 - len(a))
-    for i, qi in enumerate(q):
-        if qi:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] -= qi * bj
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [_ZERO] * max(0, len(a) - db)
-    while len(_trim(a)) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1] / lead
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] -= c * b[j]
-        a = _trim(a)
-    return _trim(q), a
-
-
-def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended gcd over Q[x] tracking one cofactor: returns (g, s) with
-    s*a congruent to g modulo b."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [_ONE], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub_scaled(s0, s1, q)
-    return r0, s0
 
 
 def _row_reduce(rows: list[list], ncols: int) -> list[int]:

@@ -327,6 +327,15 @@ def test_r_matrix_with_a_non_integer_shape_exits_two(tmp_path, capsys, shape):
     assert err.startswith("error: matrix JSON needs integer") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+def test_tolerance_that_decides_nothing_exits_two(capsys, tolerance):
+    # inf passed a wrong R' on the float backend; nan and -1 failed every check
+    code, out, err = run(capsys, "check", "--orders", "2", "--which", "braided-ybe",
+                         "--backend", "float", "--tolerance", tolerance)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tolerance must be") and err.count("\n") == 1
+
+
 # -- size guard: tested through the estimate, which allocates nothing ----------
 
 ADMITTED = [

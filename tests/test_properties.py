@@ -27,7 +27,7 @@ from hopfbraid.floatback import matrix_complex
 from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, apply_on_qudits, exact_rank,
                               invert_matrix, kron)
 from hopfbraid.quantum import StateVector, apply_gate, schmidt_rank
-from hopfbraid.scalar import CyclotomicNumber, rational, root_of_unity
+from hopfbraid.scalar import CyclotomicNumber, cyclotomic_polynomial, rational, root_of_unity
 
 
 @st.composite
@@ -171,6 +171,8 @@ def test_lift_keeps_the_value_and_composes(x, k, j):
 # different construction from the repeated division the package uses.
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+# composite orders with two or three prime factors, and degree 32 at order 64
+WIDE_ORDERS = (15, 16, 20, 21, 24, 30, 64)
 
 
 def _mobius(n: int) -> int:
@@ -298,10 +300,10 @@ def _assert_canonical(x: CyclotomicNumber) -> None:
 
 
 @st.composite
-def cyclotomic_values(draw):
-    """A value of one of ORDERS, with coefficients whose denominators differ
-    (such as 1/2 + (1/3) z), some of them zero."""
-    order = draw(st.sampled_from(ORDERS))
+def cyclotomic_values(draw, orders=ORDERS):
+    """A value of one of the orders, with coefficients whose denominators
+    differ (such as 1/2 + (1/3) z), some of them zero."""
+    order = draw(st.sampled_from(orders))
     coeffs = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6))) * draw(
         st.sampled_from((0, 1, 1))) for _ in range(len(_ref_phi(order)) - 1)]
     return CyclotomicNumber(order, tuple(coeffs))
@@ -344,6 +346,24 @@ def test_invert_conjugate_and_negation_match_the_reference(a):
     _assert_canonical(inv)
     assert inv.order == a.order
     assert _ref_mul(_ref(a), _ref(inv)) == _ref_reduce(a.order, {0: Fraction(1)})
+
+
+@given(cyclotomic_values(WIDE_ORDERS))
+def test_invert_at_wide_orders_matches_the_reference(a):
+    if a.is_zero:
+        return
+    inv = a.invert()
+    _assert_canonical(inv)
+    assert inv.order == a.order
+    assert a * inv == 1
+    assert _ref_mul(_ref(a), _ref(inv)) == _ref_reduce(a.order, {0: Fraction(1)})
+
+
+def test_cyclotomic_polynomial_matches_the_moebius_product():
+    for n in range(1, 121):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi)
+        assert phi == _ref_phi(n), n
 
 
 @given(cyclotomic_values(), st.sampled_from((1, 2, 3, 5)))

@@ -234,18 +234,19 @@ def test_constructor_rejects_inexact_coefficients(coeff):
         rational(coeff)
 
 
-def test_power_table_growth_is_thread_safe():
-    order, top = 193, 4000  # no other test uses this order
+def test_residue_table_is_built_once_under_threads():
+    order = 193  # no other test uses this order
     barrier = threading.Barrier(4)
+    tables = [None] * 4
 
-    def grow():
+    def build(i):
         barrier.wait(timeout=60)
-        scalar._power_residues(order, top)
+        tables[i] = scalar._residues(order)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=grow) for _ in range(4)]
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -254,8 +255,9 @@ def test_power_table_growth_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     try:
-        threaded = list(scalar._POWER_TABLES.pop(order))
-        single = list(scalar._power_residues(order, top))
+        published = scalar._RESIDUES.pop(order)
+        single = scalar._residues(order)
     finally:
-        scalar._POWER_TABLES.pop(order, None)
-    assert threaded == single
+        scalar._RESIDUES.pop(order, None)
+    assert all(t is published for t in tables)
+    assert published == single
