@@ -23,6 +23,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from functools import cached_property
 from itertools import product
 from pathlib import Path
@@ -51,7 +52,7 @@ from .groupalg import (
     universal_r_fused_phase,
 )
 from .linalg import (
-    EXACT,
+    INTEGER,
     Matrix,
     MonomialOps,
     NotMonomialError,
@@ -151,6 +152,9 @@ MAX_MATRIX_ENTRIES = 1 << 18
 # ... and no character transform of more than this many integer cells
 # (orders of dimension up to 26 for the algebra-level checks).
 MAX_TRANSFORM_CELLS = 1 << 19
+# ... and no braid command of more than this many exact scalar operations
+# (about ten seconds of them).
+MAX_BRAID_WORK = 1 << 24
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
@@ -179,13 +183,35 @@ def transform_cells(d: int, which: str, path: str) -> int:
     return d ** 4 if CHOICES[which].legs is None and path == "monomial" else 0
 
 
-def _admit(entries: int, what: str, cells: int = 0):
+def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
+    """Cost estimate of ``braid`` in exact scalar operations.  A letter
+    costs d^(N+2) products per column it acts on: the state's one and the
+    word matrix's d^N.  Inverting R' costs about 2 d^6.  The Schmidt rank
+    across cut c row-reduces a d^c x d^(N-c) matrix of rank k at about
+    d^N (1 + k) operations, where k <= d^(2m) for the m letters that act
+    across the cut (the input state has rank 1, or is two qubits).  N is
+    capped at 64, as in matrix_entries."""
+    n = min(word.strands, 64)
+    size = d ** n
+    work = len(word.letters) * d ** (n + 2) * ((size if output else 0) + (1 if state else 0))
+    if any(x < 0 for x in word.letters):
+        work += 2 * d ** 6
+    if state:
+        crossing = Counter(abs(x) for x in word.letters)
+        work += sum(size * (1 + d ** min(c, n - c, 2 * crossing[c])) for c in range(1, n))
+    return work
+
+
+def _admit(entries: int, what: str, cells: int = 0, work: int = 0):
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
                          f"limit of {MAX_MATRIX_ENTRIES}")
     if cells > MAX_TRANSFORM_CELLS:
         raise ValueError(f"{what} would transform {cells} integer cells, above the "
                          f"limit of {MAX_TRANSFORM_CELLS}")
+    if work > MAX_BRAID_WORK:
+        raise ValueError(f"{what} would take about {work} exact scalar operations, above "
+                         f"the limit of {MAX_BRAID_WORK}")
 
 
 class Report:
@@ -365,7 +391,8 @@ def cmd_check(args, argv) -> int:
                transform_cells(side, which, path))
 
     inputs = _Inputs(spec, args, external)
-    ops = floatback.NumpyOps(args.tolerance) if use_float else EXACT
+    # every dense exact verdict runs on integer arrays; EXACT stays the oracle
+    ops = floatback.NumpyOps(args.tolerance) if use_float else INTEGER
     monomial = MonomialOps(spec) if any(plan(w)[1] == "monomial" for w in selected) else None
 
     def verdict(which, check):
@@ -374,7 +401,7 @@ def cmd_check(args, argv) -> int:
             try:
                 return check.decide(inputs, monomial)
             except NotMonomialError:
-                # no certificate: the dense oracle decides
+                # no certificate: the dense path decides
                 _admit(matrix_entries(side, which, args.strands, "dense"),
                        f"check --which {which} without a monomial certificate")
         return check.decide(inputs, ops)
@@ -403,7 +430,8 @@ def cmd_braid(args, argv) -> int:
     # the largest matrix that runs: R', the state column and each Schmidt
     # matrix (d^N entries) or the word's; the cap refuses any d > 1 cheaply
     size = d ** min(word.strands, 64)
-    _admit(max(d ** 4, size * size if args.output else size), "braid")
+    _admit(max(d ** 4, size * size if args.output else size), "braid",
+           work=braid_work(d, word, bool(args.output), args.state is not None))
     gate = braided_r(spec)
     report.add_info(f"word {list(word.letters)} on {word.strands} strands, "
                     f"local dimension {d}: matrix {size}x{size}")

@@ -404,6 +404,8 @@ class ExactAlgebraOps:
     oracle.  floatback.NumpyOps lifts a tensor into its regular image in
     numpy instead, and linalg.MonomialOps into the diagonal of that image
     in the character basis, where products are pointwise.
+    linalg.IntegerOps keeps this tensor half and lifts matrices to integer
+    arrays.
     """
 
     def tensor(self, t: TensorElement) -> TensorElement:

@@ -4,14 +4,21 @@ Row-major storage, immutable after construction.  Composite (Kronecker)
 indices always put the first tensor factor in the most significant
 position.
 
-Two exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
-``EXACT`` works on dense ``Matrix`` objects and tensor elements and is the
-oracle; ``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
-character basis of the spec.  There a tensor element is the diagonal of
-its regular image, and a matrix is admitted only after its conjugate by
-the character basis has been computed exactly and found to hold one
-nonzero entry in every row and column (the certificate); otherwise
-NotMonomialError is raised, so a caller can fall back to ``EXACT``.
+Three exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
+
+* ``EXACT`` works on dense ``Matrix`` objects of CyclotomicNumbers and on
+  tensor elements; it is the library default and the oracle of the tests.
+* ``INTEGER`` (``IntegerOps``) works on dense ``IntegerMatrix`` objects:
+  integer arrays over the powers of zeta_L with one denominator, whose
+  products run in numpy (float64 BLAS, int64 or Python integers, as a
+  bound on every partial sum allows).  Its tensor half is EXACT's.
+  ``hopfbraid check`` decides every dense exact verdict on it.
+* ``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
+  character basis of the spec.  There a tensor element is the diagonal of
+  its regular image, and a matrix is admitted only after its conjugate by
+  the character basis has been computed exactly and found to hold one
+  nonzero entry in every row and column (the certificate); otherwise
+  NotMonomialError is raised, so a caller can fall back to a dense backend.
 
 Each exact linear-algebra job has one implementation.  ``_action_image``
 is the one action routine: every regular image (``on_element``,
@@ -20,7 +27,10 @@ element acting on a tensor product of modules.  ``apply_on_qudits`` places
 every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
 ``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``character_transform``
 is the one change to the character basis: both the diagonals and the
-certificates of MonomialOps call it.  ``scalar._row_reduce`` is the one
+certificates of MonomialOps call it.  ``_power_terms`` is the one lift of
+values to integer terms over the powers of zeta_L, and ``_reduce`` the one
+reduction of such vectors by the residue table; character_transform and
+IntegerMatrix both use them.  ``scalar._row_reduce`` is the one
 elimination: inverse, rank and field descent all call it.  It takes the
 first nonzero pivot in each column; exact arithmetic needs no magnitude
 pivoting and this keeps every result deterministic.
@@ -29,7 +39,8 @@ pivoting and this keeps every result deterministic.
 from __future__ import annotations
 
 import itertools
-from math import lcm, prod
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -422,14 +433,36 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
 
     One axis is transformed at a time.  Each value is held as an integer
     vector over the L powers of zeta_L, L the lcm of the axis lengths and
-    the value orders, with one common denominator, so that multiplying by a
-    root of unity is a rotation; each output is reduced to a
-    CyclotomicNumber once, at the end.  Integers stay int64 when a bound on
-    every partial sum fits, and are Python integers otherwise.
+    the value orders, with one common denominator (``_power_terms``), so
+    that multiplying by a root of unity is a rotation; each output is
+    reduced by the residue table (``_reduce``) and made a CyclotomicNumber
+    once, at the end.  Integers stay int64 when a bound on every partial
+    sum fits, and are Python integers otherwise.
     """
-    entries = [(i, v) for i, v in entries if not v.is_zero]
     size = prod(shape)
-    big = lcm(*shape, *(v.order for _, v in entries))
+    big, cells, powers, ints, denom = _power_terms(entries, lcm(*shape))
+    # an axis of length n multiplies the largest integer by at most n, the
+    # reduction by at most big times the largest residue
+    bound = max(map(abs, ints), default=0) * size * big * _residue_table(big)[1]
+    dtype = _exact_dtype(bound)
+    arr = np.zeros((size, big), dtype=dtype)
+    arr[cells, powers] = np.array(ints, dtype=dtype)
+    for n, sign in zip(shape, signs):
+        # each pass moves its axis behind the others, so all passes restore the order
+        arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
+    return _to_values(big, _reduce(arr.reshape(size, big).T, big).T, denom * scale)
+
+
+# -- integer arrays over the powers of zeta_L -------------------------------
+
+
+def _power_terms(entries, base: int = 1):
+    """The nonzero values of (index, value) pairs as integer multiples of
+    powers of zeta_L over one common denominator, L the lcm of base and the
+    value orders: (L, indices, powers, integers, denominator), one term per
+    nonzero numerator."""
+    entries = [(i, v) for i, v in entries if not v.is_zero]
+    big = lcm(base, *(v.order for _, v in entries))
     denom = lcm(*(v.den for _, v in entries))
     cells, powers, ints = [], [], []
     for i, v in entries:
@@ -439,32 +472,192 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
                 cells.append(i)
                 powers.append(k * step)
                 ints.append(x * scale_v)
-    rows = _residues(big)[:big]  # x^k mod the cyclotomic polynomial
-    # an axis of length n multiplies the largest integer by at most n, the
-    # reduction by at most big times the largest residue
+    return big, cells, powers, ints, denom
+
+
+def _exact_dtype(bound: int, blas: bool = False):
+    """A dtype that holds every integer up to bound in absolute value
+    exactly: float64 below 2^53 when blas (its products then run on BLAS
+    and stay exact), int64 below 2^63, Python integers (object) otherwise."""
+    if blas and bound < 2 ** 53:
+        return np.float64
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _height(arr) -> int:
+    """The largest absolute entry of an integer array."""
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+@lru_cache(maxsize=None)
+def _residue_table(order: int):
+    """scalar._residues(order) as a read-only dense array, row k the residue
+    of x^k modulo the cyclotomic polynomial, and its largest absolute entry."""
+    rows = _residues(order)
     top = max(abs(r) for row in rows for _, r in row)
-    bound = max(map(abs, ints), default=0) * size * big * top
-    dtype = np.int64 if bound < 2 ** 63 else object
-    table = np.zeros((big, _degree(big)), dtype=dtype)
+    table = np.zeros((len(rows), _degree(order)), dtype=_exact_dtype(top))
     for k, row in enumerate(rows):
         for m, r in row:
             table[k, m] = r
-    arr = np.zeros((size, big), dtype=dtype)
-    arr[cells, powers] = np.array(ints, dtype=dtype)
-    for n, sign in zip(shape, signs):
-        # each pass moves its axis behind the others, so all passes restore the order
-        arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
-    reduced = arr.reshape(size, big) @ table
-    denom *= scale
+    table.flags.writeable = False
+    return table, top
+
+
+def _reduce(vectors, order: int, powers=None):
+    """(k, ...) integer vectors whose slot s holds the coefficient of
+    zeta_order^powers[s] (default s) as (phi(order), ...) power-basis
+    numerators: one product with the residue table, in the vectors' dtype."""
+    table = _residue_table(order)[0]
+    rows = table[:len(vectors)] if powers is None else table[powers]
+    flat = rows.T.astype(vectors.dtype, copy=False) @ vectors.reshape(len(vectors), -1)
+    return flat.reshape(-1, *vectors.shape[1:])
+
+
+def _to_values(order: int, vectors, den: int) -> list[CyclotomicNumber]:
+    """The rows of an (n, phi(order)) integer numerator array over den as
+    values, each distinct row made once."""
     zero = rational(0)
     made: dict = {}
     out = []
-    for row in map(tuple, reduced.tolist()):
+    for row in map(tuple, vectors.tolist()):
         value = made.get(row)
         if value is None:
-            value = made[row] = _canonical(big, row, denom) if any(row) else zero
+            value = made[row] = _canonical(order, row, den) if any(row) else zero
         out.append(value)
     return out
+
+
+class IntegerMatrix:
+    """A matrix over Q(zeta_order) held as integer arrays: nums[m, i, j] / den
+    is the coefficient of zeta_order^m in entry (i, j), for m < phi(order).
+    The numerators and den > 0 share no common factor; nums is int64 when
+    it fits and holds Python integers otherwise.
+
+    ``@`` and ``kron`` convolve the operands' power slots (both lifted to
+    the lcm of their orders first) and reduce the slots at or above phi
+    once, by the residue table, so only phi coefficients per entry are ever
+    multiplied.  Each product runs in the dtype ``_exact_dtype`` picks from
+    a bound on every partial sum: float64 on BLAS when that bound is below
+    2^53, int64 below 2^63, Python integers otherwise; so every result is
+    exact.  ``==`` compares numerators cross-multiplied by the denominators.
+    """
+
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, nums, den: int):
+        # float64 products hold exact integers below 2^53
+        if nums.dtype != np.int64 and _height(nums) < 2 ** 63:
+            nums = nums.astype(np.int64)
+        g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
+        if g != 1:
+            nums = nums // g
+            den //= g
+        self.order, self.nums, self.den = order, nums, den
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "IntegerMatrix":
+        big, cells, powers, ints, den = _power_terms(enumerate(m.entries))
+        # an entry holds at most big terms, each reduced by one residue row
+        bound = max(map(abs, ints), default=0) * big * _residue_table(big)[1]
+        dtype = _exact_dtype(bound)
+        arr = np.zeros((big, m.rows * m.cols), dtype=dtype)
+        arr[powers, cells] = np.array(ints, dtype=dtype)
+        return cls(big, _reduce(arr, big).reshape(-1, m.rows, m.cols), den)
+
+    @classmethod
+    def identity(cls, n: int) -> "IntegerMatrix":
+        return cls(1, np.eye(n, dtype=np.int64)[None], 1)
+
+    @property
+    def rows(self) -> int:
+        return self.nums.shape[1]
+
+    @property
+    def cols(self) -> int:
+        return self.nums.shape[2]
+
+    def to_matrix(self) -> Matrix:
+        vectors = self.nums.reshape(len(self.nums), -1).T
+        return Matrix(self.rows, self.cols, _to_values(self.order, vectors, self.den))
+
+    def _at(self, order: int):
+        """nums rewritten over Q(zeta_order), order a multiple of self.order."""
+        if order == self.order:
+            return self.nums
+        phi = len(self.nums)
+        bound = _height(self.nums) * phi * _residue_table(order)[1]
+        return _reduce(self.nums.astype(_exact_dtype(bound)), order,
+                       np.arange(phi) * (order // self.order))
+
+    def _combine(self, other: "IntegerMatrix", product, shape, inner: int) -> "IntegerMatrix":
+        """The sum of product(a_i, b_j) into power slot i + j, reduced; product
+        is bilinear, returns the given shape, and sums at most inner
+        products of entries into each output entry."""
+        order = lcm(self.order, other.order)
+        a, b = self._at(order), other._at(order)
+        phi = len(a)
+        # a slot sums at most phi products, the reduction 2 phi - 1 slots
+        bound = (_height(a) * _height(b) * inner * phi * (2 * phi - 1)
+                 * _residue_table(order)[1])
+        dtype = _exact_dtype(bound, blas=True)
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        conv = np.zeros((2 * phi - 1, *shape), dtype=dtype)
+        live = [j for j in range(phi) if b[j].any()]
+        for i in range(phi):
+            if a[i].any():
+                for j in live:
+                    conv[i + j] += product(a[i], b[j])
+        return IntegerMatrix(order, _reduce(conv, order), self.den * other.den)
+
+    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if self.cols != other.rows:
+            raise ValueError(
+                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        return self._combine(other, np.matmul, (self.rows, other.cols), self.cols)
+
+    def kron(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """Kronecker product; the first factor is the most significant index."""
+        return self._combine(other, np.kron,
+                             (self.rows * other.rows, self.cols * other.cols), 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        if self.nums.shape[1:] != other.nums.shape[1:]:
+            return False
+        order = lcm(self.order, other.order)
+        g = gcd(self.den, other.den)
+        return np.array_equal(_scaled(self._at(order), other.den // g),
+                              _scaled(other._at(order), self.den // g))
+
+    __hash__ = None
+
+
+def _scaled(nums, k: int):
+    """nums * k, exactly."""
+    return nums.astype(_exact_dtype(max(_height(nums), 1) * k), copy=False) * k
+
+
+class IntegerOps(ExactAlgebraOps):
+    """The exact backend on IntegerMatrix: ExactAlgebraOps (so tensor
+    elements are unchanged) plus dense matrices over integer arrays.  Every
+    verdict equals EXACT's, and products cost numpy products of phi(L)^2
+    integer slices instead of exact scalar products."""
+
+    def matrix(self, m: Matrix) -> IntegerMatrix:
+        return IntegerMatrix.from_matrix(m)
+
+    def kron(self, a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+        return a.kron(b)
+
+    def identity(self, n: int) -> IntegerMatrix:
+        return IntegerMatrix.identity(n)
+
+    def invertible(self, m: IntegerMatrix) -> bool:
+        return m.rows == m.cols and exact_rank(m.to_matrix()) == m.rows
+
+
+INTEGER = IntegerOps()
 
 
 # -- monomial matrices in the character basis -------------------------------

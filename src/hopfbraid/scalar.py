@@ -13,7 +13,8 @@ scale.  A sum puts both operands over a common denominator.  Operands of
 different orders are lifted to the lcm order before combining; results are
 never moved back to a smaller field automatically (``descend`` does that
 on request).  The inverse is the product of the other Galois conjugates
-divided by the norm, which is a nonzero rational.
+divided by the norm, which is a nonzero rational; the conjugates are
+multiplied one cyclic step of the Galois group at a time, by doubling.
 
 Each order has one table of the residues of x^k modulo the cyclotomic
 polynomial, for every k a product, a lift or a Galois conjugate reaches.
@@ -286,15 +287,21 @@ class CyclotomicNumber:
 
     def invert(self) -> "CyclotomicNumber":
         """Multiplicative inverse: the product of the other Galois conjugates
-        over the norm, a nonzero rational; raises ZeroDivisionError on zero."""
+        over the norm, a nonzero rational; raises ZeroDivisionError on zero.
+
+        The conjugates are gathered one cyclic step of ``_galois_chain`` at
+        a time: if ``full`` is the product of sigma_h(x) over the subgroup
+        H so far, then over H<g> it is full times q, the product of
+        sigma_g^k(full) for 0 < k < m, which ``_orbit_product`` forms by
+        doubling in about 2 log2(m) products."""
         if self.is_zero:
             raise ZeroDivisionError("inverting the zero cyclotomic number")
         n = self.order
-        others = rational(1)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                others = others * self._galois(k)
-        norm = self * others  # nums (a, 0, ..., 0) over den
+        others, full = rational(1), self
+        for g, m in _galois_chain(n):
+            q = _orbit_product(full, g, m - 1, n)._galois(g)
+            others, full = others * q, full * q
+        norm = full  # self * others: nums (a, 0, ..., 0) over den
         a = norm.nums[0]
         scale = norm.den if a > 0 else -norm.den
         return _canonical(n, tuple(scale * x for x in others.nums), others.den * abs(a))
@@ -394,6 +401,34 @@ class CyclotomicNumber:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=None)
+def _galois_chain(order: int) -> tuple[tuple[int, int], ...]:
+    """(g, m) steps that build the unit group (Z/order)^* as a chain of
+    subgroups: each g is a unit outside the subgroup H the earlier steps
+    generate, and m >= 2 the least exponent with g^m in H, so that H<g> is
+    the union of the m cosets g^k H."""
+    group, chain = {1}, []
+    for g in range(2, order):
+        if gcd(g, order) == 1 and g not in group:
+            m, power = 1, g
+            while power not in group:
+                power, m = power * g % order, m + 1
+            chain.append((g, m))
+            group = {h * pow(g, k, order) % order for h in group for k in range(m)}
+    return tuple(chain)
+
+
+def _orbit_product(y: "CyclotomicNumber", g: int, t: int, order: int) -> "CyclotomicNumber":
+    """The product of sigma_(g^k)(y) for 0 <= k < t (t >= 1), by doubling:
+    P(2s) = P(s) sigma_(g^s)(P(s)) and P(s + 1) = P(s) sigma_(g^s)(y)."""
+    p, s = y, 1
+    for bit in bin(t)[3:]:
+        p, s = p * p._galois(pow(g, s, order)), 2 * s
+        if bit == "1":
+            p, s = p * y._galois(pow(g, s, order)), s + 1
+    return p
 
 
 def _decimal_pi() -> Decimal:

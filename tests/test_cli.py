@@ -413,6 +413,23 @@ def test_oversized_braid_exits_two_with_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "word.json").exists()
 
 
+def test_braid_priced_by_its_work_exits_two_quickly(capsys):
+    # 2^18 amplitudes pass the entry guard, but 17 letters and 17 Schmidt
+    # ranks on them would run for minutes
+    word = ",".join(str(1 + k) for k in range(17))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "braid", "--orders", "2", "--strands", "18",
+                         f"--word={word}", "--state", "0" * 18)
+    assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+    assert err.startswith("error: braid would take about") and err.count("\n") == 1
+    # the benchmark's words, the longest test words and a 10^4-letter word
+    # on 6 strands stay admitted
+    for d, n, length in ((2, 2, 16), (2, 5, 40), (3, 3, 24), (4, 3, 12), (2, 10, 40),
+                         (3, 4, 40), (2, 6, 10 ** 4)):
+        word = BraidWord(n, [(-1) ** k * (1 + k % (n - 1)) for k in range(length)])
+        assert cli.braid_work(d, word, False, True) <= cli.MAX_BRAID_WORK, (d, n)
+
+
 def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):
     # not monomial in the character basis, and 6^5 is too large a dense side
     sheared = Matrix.identity(36)
@@ -488,3 +505,18 @@ def test_r_matrix_of_another_side_is_checked_at_its_own_side(tmp_path, capsys):
                                 str(tmp_path / "braided_r.json"), timeout=10)
     assert done.returncode == 0, done.stderr
     assert "check braided-ybe: pass" in done.stdout
+
+
+def test_changed_r_prime_at_dimension_eight_is_decided_on_integer_arrays(tmp_path, capsys):
+    # no certificate, so the dense path decides on 512 x 512 products over
+    # Q(zeta_8); the guard admits it (512^2 = 2^18 entries)
+    assert main(["gen-r", "--orders", "8", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "braided_r.json"
+    data = json.loads(path.read_text())
+    data["entries"][0] = {"order": 1, "coeffs": [[5, 4]]}  # was 1/8
+    path.write_text(json.dumps(data))
+    done = _check_in_subprocess("--orders", "8", "--which", "braided-ybe", "--r-matrix",
+                                str(path), timeout=30)
+    assert done.returncode == 1, done.stderr
+    assert "check braided-ybe: fail" in done.stdout

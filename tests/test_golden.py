@@ -130,6 +130,8 @@ def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):
     # the changed matrix has no monomial certificate, so the dense path decides
     with pytest.raises(NotMonomialError):
         MonomialOps(GroupSpec((2, 2))).matrix(matrix_from_json(data))
-    assert main(["check", "--orders", "2,2", "--which", "braided-ybe",
-                 "--r-matrix", str(path)]) == 1
-    assert "check braided-ybe: fail" in capsys.readouterr().out
+    for suffix, extra in (("txt", []), ("json", ["--json"])):
+        assert main(["check", "--orders", "2,2", "--which", "braided-ybe",
+                     "--r-matrix", str(path), *extra]) == 1
+        report = _normalise(capsys.readouterr().out, tmp_path)
+        assert report == (GOLDEN / f"check_22_braided_ybe_dense_fallback.{suffix}").read_text()

@@ -359,6 +359,26 @@ def test_invert_at_wide_orders_matches_the_reference(a):
     assert _ref_mul(_ref(a), _ref(inv)) == _ref_reduce(a.order, {0: Fraction(1)})
 
 
+def _invert_conjugate_by_conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
+    """The inverse as the product of the other Galois conjugates, taken one
+    at a time, over the norm."""
+    n = x.order
+    others = rational(1).lift(n)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            others = others * x._galois(k)
+    return others * rational(Fraction(1) / (x * others).coeffs[0])
+
+
+@given(cyclotomic_values(tuple(range(1, 13)) + (105, 120)))
+def test_invert_by_doubling_matches_the_conjugate_product(a):
+    if a.is_zero:
+        return
+    inv, expected = a.invert(), _invert_conjugate_by_conjugate(a)
+    _assert_canonical(inv)
+    assert (inv.order, inv.nums, inv.den) == (expected.order, expected.nums, expected.den)
+
+
 def test_cyclotomic_polynomial_matches_the_moebius_product():
     for n in range(1, 121):
         phi = cyclotomic_polynomial(n)
