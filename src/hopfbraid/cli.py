@@ -155,6 +155,9 @@ MAX_TRANSFORM_CELLS = 1 << 19
 # ... and no braid command of more than this many exact scalar operations
 # (about ten seconds of them).
 MAX_BRAID_WORK = 1 << 24
+# ... and no exact hopf check of more than this many tensor-element
+# operations (about 3 us each, so about seven seconds of them).
+MAX_TENSOR_WORK = 1 << 21
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
@@ -183,6 +186,15 @@ def transform_cells(d: int, which: str, path: str) -> int:
     return d ** 4 if CHOICES[which].legs is None and path == "monomial" else 0
 
 
+def tensor_work(d: int, which: str, path: str) -> int:
+    """Cost estimate of the exact hopf check in tensor-element operations:
+    each of the d basis elements takes about 25 coproducts, counits,
+    antipodes, products, sums and comparisons of one-term elements.  0 for
+    every other check and on the float backend, which matrix_entries
+    prices."""
+    return 25 * d if which == "hopf" and path != "float" else 0
+
+
 def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
     """Cost estimate of ``braid`` in exact scalar operations.  A letter
     costs d^(N+2) products per column it acts on: the state's one and the
@@ -202,7 +214,7 @@ def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
     return work
 
 
-def _admit(entries: int, what: str, cells: int = 0, work: int = 0):
+def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: int = 0):
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
                          f"limit of {MAX_MATRIX_ENTRIES}")
@@ -212,6 +224,9 @@ def _admit(entries: int, what: str, cells: int = 0, work: int = 0):
     if work > MAX_BRAID_WORK:
         raise ValueError(f"{what} would take about {work} exact scalar operations, above "
                          f"the limit of {MAX_BRAID_WORK}")
+    if tensor_ops > MAX_TENSOR_WORK:
+        raise ValueError(f"{what} would take about {tensor_ops} tensor-element operations, "
+                         f"above the limit of {MAX_TENSOR_WORK}")
 
 
 class Report:
@@ -388,7 +403,7 @@ def cmd_check(args, argv) -> int:
     for which in selected:
         side, path = plan(which)
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
-               transform_cells(side, which, path))
+               transform_cells(side, which, path), tensor_ops=tensor_work(side, which, path))
 
     inputs = _Inputs(spec, args, external)
     # every dense exact verdict runs on integer arrays; EXACT stays the oracle

@@ -14,11 +14,13 @@ Three exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
   bound on every partial sum allows).  Its tensor half is EXACT's.
   ``hopfbraid check`` decides every dense exact verdict on it.
 * ``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
-  character basis of the spec.  There a tensor element is the diagonal of
-  its regular image, and a matrix is admitted only after its conjugate by
-  the character basis has been computed exactly and found to hold one
-  nonzero entry in every row and column (the certificate); otherwise
-  NotMonomialError is raised, so a caller can fall back to a dense backend.
+  character basis of the spec: a numpy permutation and a 1 x n
+  IntegerMatrix of weights, multiplied by IntegerMatrix's product.  There
+  a tensor element is the diagonal of its regular image, and a matrix is
+  admitted only after its conjugate by the character basis has been
+  computed exactly and found to hold one nonzero entry in every row and
+  column (the certificate); otherwise NotMonomialError is raised, so a
+  caller can fall back to a dense backend.
 
 Each exact linear-algebra job has one implementation.  ``_action_image``
 is the one action routine: every regular image (``on_element``,
@@ -27,10 +29,12 @@ element acting on a tensor product of modules.  ``apply_on_qudits`` places
 every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
 ``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``character_transform``
 is the one change to the character basis: both the diagonals and the
-certificates of MonomialOps call it.  ``_power_terms`` is the one lift of
-values to integer terms over the powers of zeta_L, and ``_reduce`` the one
-reduction of such vectors by the residue table; character_transform and
-IntegerMatrix both use them.  ``scalar._row_reduce`` is the one
+certificates of MonomialOps call its integer core.  ``_power_terms`` is
+the one lift of values to integer terms over the powers of zeta_L,
+``_reduce`` the one reduction of such vectors by the residue table and
+``IntegerMatrix._combine`` the one product of integer arrays;
+character_transform, IntegerMatrix and MonomialMatrix share them.
+``scalar._row_reduce`` is the one
 elimination: inverse, rank and field descent all call it.  It takes the
 first nonzero pivot in each column; exact arithmetic needs no magnitude
 pivoting and this keeps every result deterministic.
@@ -431,13 +435,24 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
 
         out[c] = (1/scale) * sum_a in[a] * prod_x zeta_(n_x)^(signs[x] a_x c_x).
 
+    The values are read off ``_character_core``'s integer arrays once, at
+    the end.
+    """
+    big, nums, den = _character_core(shape, signs, entries, scale)
+    return _to_values(big, nums.T, den)
+
+
+def _character_core(shape, signs, entries, scale: int = 1):
+    """character_transform on integer arrays: (L, nums, den), where
+    nums[m, c] / den is the coefficient of zeta_L^m in out[c], m < phi(L).
+
     One axis is transformed at a time.  Each value is held as an integer
     vector over the L powers of zeta_L, L the lcm of the axis lengths and
     the value orders, with one common denominator (``_power_terms``), so
-    that multiplying by a root of unity is a rotation; each output is
-    reduced by the residue table (``_reduce``) and made a CyclotomicNumber
-    once, at the end.  Integers stay int64 when a bound on every partial
-    sum fits, and are Python integers otherwise.
+    that multiplying by a root of unity is a rotation; the outputs are
+    reduced by the residue table (``_reduce``) once, at the end.  Integers
+    stay int64 when a bound on every partial sum fits, and are Python
+    integers otherwise.
     """
     size = prod(shape)
     big, cells, powers, ints, denom = _power_terms(entries, lcm(*shape))
@@ -450,7 +465,7 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
     for n, sign in zip(shape, signs):
         # each pass moves its axis behind the others, so all passes restore the order
         arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
-    return _to_values(big, _reduce(arr.reshape(size, big).T, big).T, denom * scale)
+    return big, _reduce(arr.reshape(size, big).T, big), denom * scale
 
 
 # -- integer arrays over the powers of zeta_L -------------------------------
@@ -539,7 +554,8 @@ class IntegerMatrix:
     multiplied.  Each product runs in the dtype ``_exact_dtype`` picks from
     a bound on every partial sum: float64 on BLAS when that bound is below
     2^53, int64 below 2^63, Python integers otherwise; so every result is
-    exact.  ``==`` compares numerators cross-multiplied by the denominators.
+    exact.  ``+`` adds and ``==`` compares numerators cross-multiplied by
+    the denominators.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -620,22 +636,33 @@ class IntegerMatrix:
         return self._combine(other, np.kron,
                              (self.rows * other.rows, self.cols * other.cols), 1)
 
+    def _common(self, other: "IntegerMatrix"):
+        """(a, b, order, den): both operands' numerators over Q(zeta_order),
+        order the lcm of theirs, and over den, the lcm of the denominators,
+        in a dtype that also holds a + b."""
+        order = lcm(self.order, other.order)
+        g = gcd(self.den, other.den)
+        a, b = self._at(order), other._at(order)
+        ka, kb = other.den // g, self.den // g
+        dtype = _exact_dtype(_height(a) * ka + _height(b) * kb)
+        return (a.astype(dtype, copy=False) * ka, b.astype(dtype, copy=False) * kb,
+                order, self.den * ka)
+
+    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if self.nums.shape[1:] != other.nums.shape[1:]:
+            raise ValueError("shape mismatch")
+        a, b, order, den = self._common(other)
+        return IntegerMatrix(order, a + b, den)
+
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.nums.shape[1:] != other.nums.shape[1:]:
             return False
-        order = lcm(self.order, other.order)
-        g = gcd(self.den, other.den)
-        return np.array_equal(_scaled(self._at(order), other.den // g),
-                              _scaled(other._at(order), self.den // g))
+        a, b, _, _ = self._common(other)
+        return np.array_equal(a, b)
 
     __hash__ = None
-
-
-def _scaled(nums, k: int):
-    """nums * k, exactly."""
-    return nums.astype(_exact_dtype(max(_height(nums), 1) * k), copy=False) * k
 
 
 class IntegerOps(ExactAlgebraOps):
@@ -668,16 +695,32 @@ class NotMonomialError(ValueError):
 
 
 class MonomialMatrix:
-    """A square matrix whose row i holds ``weights[i]`` in column ``perm[i]``
-    and nothing else.  Products and Kronecker products stay monomial and
-    cost one scalar multiplication per row.  A certified matrix has no zero
-    weight; a diagonal (``perm`` the identity) may have some."""
+    """A square matrix whose row i holds weight i in column ``perm[i]`` and
+    nothing else, held as a numpy index array and a 1 x n IntegerMatrix of
+    weights.  Products and Kronecker products stay monomial: the weights
+    are gathered by the permutation and multiplied entrywise by
+    IntegerMatrix's exact product, so no scalar arithmetic runs.  A
+    certified matrix has no zero weight; a diagonal (``perm`` the identity)
+    may have some.
 
-    __slots__ = ("perm", "weights")
+    The constructor also takes a sequence of scalar weights; ``perm`` and
+    ``weights`` read back as tuples of ints and of CyclotomicNumbers."""
 
-    def __init__(self, perm: tuple[int, ...], weights: tuple[CyclotomicNumber, ...]):
-        self.perm = perm
-        self.weights = weights
+    __slots__ = ("_perm", "_weights")
+
+    def __init__(self, perm, weights):
+        self._perm = np.asarray(perm, dtype=np.intp)
+        if not isinstance(weights, IntegerMatrix):
+            weights = IntegerMatrix.from_matrix(Matrix(1, len(self._perm), weights))
+        self._weights = weights
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return tuple(self._perm.tolist())
+
+    @property
+    def weights(self) -> tuple[CyclotomicNumber, ...]:
+        return tuple(self._weights.to_matrix().entries)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "MonomialMatrix":
@@ -685,45 +728,63 @@ class MonomialMatrix:
         row or a column does not hold exactly one nonzero entry."""
         if m.rows != m.cols:
             raise NotMonomialError("a monomial matrix is square")
-        n = m.cols
-        perm, weights = [], []
-        for i in range(n):
-            hits = [j for j in range(n) if not m.entries[i * n + j].is_zero]
-            if len(hits) != 1:
-                raise NotMonomialError(f"row {i} has {len(hits)} nonzero entries")
-            perm.append(hits[0])
-            weights.append(m.entries[i * n + hits[0]])
-        if len(set(perm)) != n:
+        return cls._read(IntegerMatrix.from_matrix(m))
+
+    @classmethod
+    def _read(cls, m: IntegerMatrix) -> "MonomialMatrix":
+        """The monomial form of a square IntegerMatrix, as from_matrix."""
+        nonzero = m.nums.any(axis=0)
+        hits = nonzero.sum(axis=1)
+        bad = np.flatnonzero(hits != 1)
+        if bad.size:
+            raise NotMonomialError(f"row {bad[0]} has {hits[bad[0]]} nonzero entries")
+        perm = nonzero.argmax(axis=1)
+        if not nonzero.any(axis=0).all():
             raise NotMonomialError("two rows have their nonzero entry in one column")
-        return cls(tuple(perm), tuple(weights))
+        weights = m.nums[:, np.arange(len(perm)), perm][:, None, :]
+        return cls(perm, IntegerMatrix(m.order, weights, m.den))
 
     def to_matrix(self) -> Matrix:
-        n = len(self.perm)
+        n = len(self._perm)
         out = Matrix.zeros(n, n)
         for i, (j, w) in enumerate(zip(self.perm, self.weights)):
             out.entries[i * n + j] = w
         return out
 
+    def _nonzero(self):
+        """The rows that hold a nonzero weight, as a boolean array."""
+        return self._weights.nums.any(axis=0)[0]
+
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if len(self.perm) != len(other.perm):
+        n = len(self._perm)
+        if n != len(other._perm):
             raise ValueError("dimension mismatch")
-        p, w = other.perm, other.weights
-        return MonomialMatrix(tuple(p[k] for k in self.perm),
-                              tuple(a * w[k] for a, k in zip(self.weights, self.perm)))
+        w = other._weights
+        gathered = IntegerMatrix(w.order, w.nums[:, :, self._perm], w.den)
+        return MonomialMatrix(other._perm[self._perm],
+                              self._weights._combine(gathered, np.multiply, (1, n), 1))
+
+    def kron(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        """Kronecker product; the first factor is the most significant index."""
+        n = len(other._perm)
+        return MonomialMatrix((self._perm[:, None] * n + other._perm).ravel(),
+                              self._weights.kron(other._weights))
 
     def __add__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.perm != other.perm:
+        if not np.array_equal(self._perm, other._perm):
             raise NotMonomialError("only monomial matrices of one pattern are added")
-        return MonomialMatrix(self.perm, tuple(a + b for a, b in zip(self.weights,
-                                                                     other.weights)))
+        return MonomialMatrix(self._perm, self._weights + other._weights)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
+        if len(self._perm) != len(other._perm):
+            return False
         # rows agree when both are zero or both hold one weight in one column
-        return len(self.perm) == len(other.perm) and all(
-            (j == k and a == b) or (a.is_zero and b.is_zero)
-            for j, a, k, b in zip(self.perm, self.weights, other.perm, other.weights))
+        live = self._nonzero()
+        return (np.array_equal(live, other._nonzero())
+                and np.array_equal(self._perm[live], other._perm[live])
+                and self._weights == other._weights)
 
     __hash__ = None
 
@@ -737,16 +798,18 @@ class MonomialOps(ExactOps):
     k-leg element t to the diagonal of F^(-k) rho^(x)k(t) F^(k), the
     character transform of its coefficients with sign -1 on every leg; a
     leg on which every term is the identity contributes 1 and is broadcast,
-    not transformed.  ``mul`` of two diagonals is then a pointwise product.
-    ``matrix`` takes a d^k x d^k matrix m (k <= 2) to F^(-k) m F^(k), the
-    transform with sign -1 and scale n on each row axis and sign +1 on each
-    column axis, and raises NotMonomialError unless that product (the
-    certificate) is monomial.  Conjugation by the invertible F^(k) is an
-    algebra isomorphism that respects Kronecker products, identities and
-    equality, and the regular representation is faithful, so every verdict
-    equals the dense one.  The constructor checks, for each cyclic factor,
-    that its generator shifts its own digit of the spec basis and the proof
-    obligation of its character basis (``check_character_basis``).
+    not transformed.  ``mul`` of two diagonals is then a pointwise product
+    of integer arrays.  ``matrix`` takes a d^k x d^k matrix m (k <= 2) to
+    F^(-k) m F^(k), the transform with sign -1 and scale n on each row axis
+    and sign +1 on each column axis, and raises NotMonomialError unless
+    that product (the certificate) is monomial.  Both read the transform's
+    integer arrays (``_character_core``), so no scalar is made.
+    Conjugation by the invertible F^(k) is an algebra isomorphism that
+    respects Kronecker products, identities and equality, and the regular
+    representation is faithful, so every verdict equals the dense one.  The
+    constructor checks, for each cyclic factor, that its generator shifts
+    its own digit of the spec basis and the proof obligation of its
+    character basis (``check_character_basis``).
     Transforms are cached per instance, keyed on the exact coefficients.
     """
 
@@ -789,12 +852,13 @@ class MonomialOps(ExactOps):
                     flat = flat * n + e
             entries.append((flat, c))
         shape = orders * len(active)
-        weights = character_transform(shape, (-1,) * len(shape), entries)
+        big, nums, den = _character_core(shape, (-1,) * len(shape), entries)
         # diagonal index (c_1, ..., c_k) -> index of its active legs' characters
         grid = np.arange(d ** len(active)).reshape([d if leg in active else 1
                                                     for leg in range(t.legs)])
-        spread = np.broadcast_to(grid, (d,) * t.legs).ravel().tolist()
-        return MonomialMatrix(tuple(range(d ** t.legs)), tuple(weights[i] for i in spread))
+        spread = np.broadcast_to(grid, (d,) * t.legs).ravel()
+        return MonomialMatrix(np.arange(d ** t.legs),
+                              IntegerMatrix(big, nums[:, None, spread], den))
 
     def mul(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a @ b
@@ -810,14 +874,12 @@ class MonomialOps(ExactOps):
             raise NotMonomialError(f"a {m.rows}x{m.cols} matrix is not d or d^2 "
                                    f"square for local dimension {d}")
         axes = self.spec.orders * power
-        conjugate = character_transform(axes * 2, (-1,) * len(axes) + (1,) * len(axes),
-                                        enumerate(m.entries), scale=d ** power)
-        return MonomialMatrix.from_matrix(Matrix(m.rows, m.cols, conjugate))
+        big, nums, den = _character_core(axes * 2, (-1,) * len(axes) + (1,) * len(axes),
+                                         enumerate(m.entries), scale=d ** power)
+        return MonomialMatrix._read(IntegerMatrix(big, nums.reshape(-1, m.rows, m.cols), den))
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-        n = len(b.perm)
-        return MonomialMatrix(tuple(i * n + j for i in a.perm for j in b.perm),
-                              tuple(x * y for x in a.weights for y in b.weights))
+        return a.kron(b)
 
     def identity(self, n: int) -> MonomialMatrix:
         # only a side d^k has a character basis, F^(k); mixing another side
@@ -827,12 +889,11 @@ class MonomialOps(ExactOps):
             side //= d
         if side != 1:
             raise NotMonomialError(f"side {n} is not a power of the local dimension {d}")
-        one = rational(1)
-        return MonomialMatrix(tuple(range(n)), (one,) * n)
+        return MonomialMatrix(np.arange(n), IntegerMatrix(1, np.ones((1, 1, n), np.int64), 1))
 
     def invertible(self, m: MonomialMatrix) -> bool:
         # a monomial matrix is invertible iff no weight is zero
-        return not any(w.is_zero for w in m.weights)
+        return bool(m._nonzero().all())
 
 
 # -- JSON interchange ------------------------------------------------------

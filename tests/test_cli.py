@@ -389,6 +389,24 @@ def _check_in_subprocess(*args, timeout):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+def test_oversized_hopf_check_exits_two_quickly(capsys):
+    # the exact check visits every basis element: 10^12 of them ran out of
+    # memory with a traceback, 10^6 ran for over 30 s
+    for orders in ("1000000000000", "1000000"):
+        done = _check_in_subprocess("--orders", orders, "--which", "hopf", timeout=30)
+        assert done.returncode == 2 and done.stdout == "", orders
+        assert done.stderr.startswith("error: check --which hopf would take about")
+        assert done.stderr.count("\n") == 1
+        start = time.perf_counter()
+        assert run(capsys, "check", "--orders", orders, "--which", "hopf")[0] == 2
+        assert time.perf_counter() - start < 1.0
+    assert cli.tensor_work(10 ** 6, "hopf", "float") == 0  # priced by matrix_entries
+    # every hopf check of the tests and the benchmark (d <= 64) stays
+    # admitted, and so do far larger ones
+    for d in (1, 2, 4, 6, 8, 12, 16, 24, 64, 1000):
+        assert cli.tensor_work(d, "hopf", "dense") <= cli.MAX_TENSOR_WORK, d
+
+
 def test_algebra_checks_at_order_24_run_under_the_guard():
     done = _check_in_subprocess("--orders", "24", "--which", "ybe", timeout=60)
     assert done.returncode == 0, done.stderr

@@ -56,6 +56,11 @@ CASES = {
     "check_223_quasitriangular_fused.json": ["check", "--orders", "2,2,3", "--which",
                                              "quasitriangular", "--form", "fused", "--json"],
     "check_12_ybe.txt": ["check", "--orders", "12", "--which", "ybe"],
+    "check_12_quasitriangular.json": ["check", "--orders", "12", "--which",
+                                      "quasitriangular", "--json"],
+    "check_223_ybe.json": ["check", "--orders", "2,2,3", "--which", "ybe", "--json"],
+    "check_26_ybe_fused.json": ["check", "--orders", "2,6", "--which", "ybe", "--form",
+                                "fused", "--json"],
     # fractional Q(zeta_6) amplitudes such as 1/6 + (-1/6)*z6 pin the scalar format
     "braid_6_word.txt": ["braid", "--orders", "6", "--strands", "2", "--word", "1",
                          "--state", "05"],

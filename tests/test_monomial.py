@@ -6,13 +6,16 @@ there, so the algebra-level identities can be decided on diagonals and the
 braid relations, module morphism and hexagon on monomial matrices.  These
 tests compare the diagonals with the dense regular images, and the verdicts
 with linalg.EXACT wherever the dense check is cheap (d^N <= 64), with the
-float backend where it is not, and on random elements whose identities
-mostly fail.
+integer-array backend linalg.INTEGER up to d^N = 512, with the float
+backend above, and on random elements whose identities mostly fail.  The
+array-backed MonomialMatrix is compared with dense EXACT matrices on
+random weights that mix orders, denominators, integer sizes and zeros.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,7 @@ from hopfbraid.groupalg import (
 )
 from hopfbraid.linalg import (
     EXACT,
+    INTEGER,
     Matrix,
     MonomialMatrix,
     MonomialOps,
@@ -57,10 +61,11 @@ from hopfbraid.linalg import (
     kron,
     regular_representation,
 )
-from hopfbraid.scalar import rational, root_of_unity
+from hopfbraid.scalar import CyclotomicNumber, cyclotomic_polynomial, rational, root_of_unity
 
 FORMS = (universal_r, universal_r_fused_phase)
 DENSE_BUDGET = 64  # largest d^N the dense oracle runs at
+INTEGER_BUDGET = 512  # largest d^N the integer-array oracle runs at
 
 
 def _verdicts(spec, r, strands, ops):
@@ -74,8 +79,11 @@ def _verdicts(spec, r, strands, ops):
 
 
 def _oracle(side: int):
-    # the float backend stands in where the dense exact check is too slow
-    return EXACT if side <= DENSE_BUDGET else floatback.NumpyOps()
+    # integer arrays, then the float backend, stand in where the dense
+    # exact check is too slow
+    if side <= DENSE_BUDGET:
+        return EXACT
+    return INTEGER if side <= INTEGER_BUDGET else floatback.NumpyOps()
 
 
 @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
@@ -239,25 +247,42 @@ def test_conversions_are_cached_per_instance():
 # -- random inputs -----------------------------------------------------------
 
 
-@st.composite
-def scalars(draw):
-    order = draw(st.sampled_from((3, 4)))
-    return draw(st.integers(-2, 2)) * root_of_unity(order, draw(st.integers(0, order - 1)))
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+# numerator scales: weight products in float64, in int64 past 2^53, and in
+# Python integers past 2^63
+SCALES = (1, 2 ** 14, 2 ** 40)
 
 
 @st.composite
-def monomials(draw, size=None):
+def scalars(draw, scale=1, orders=ORDERS):
+    """A value of one of the orders whose coefficients have their own
+    denominators, some of them zero (and some values zero)."""
+    order = draw(st.sampled_from(orders))
+    coeffs = [Fraction(draw(st.integers(-4, 4)) * scale, draw(st.integers(1, 6)))
+              * draw(st.sampled_from((0, 1, 1)))
+              for _ in range(len(cyclotomic_polynomial(order)) - 1)]
+    return CyclotomicNumber(order, tuple(coeffs))
+
+
+@st.composite
+def monomials(draw, size=None, scale=None, zeros=True, orders=ORDERS):
+    """A monomial matrix whose weights mix orders and denominators within
+    one matrix; with zeros, some weights may be zero."""
     n = size if size is not None else draw(st.integers(1, 4))
+    scale = draw(st.sampled_from(SCALES)) if scale is None else scale
     perm = tuple(draw(st.permutations(range(n))))
-    weights = tuple(draw(scalars().filter(lambda w: not w.is_zero)) for _ in range(n))
-    return MonomialMatrix(perm, weights)
+    weight = scalars(scale, orders)
+    if not zeros:
+        weight = weight.filter(lambda w: not w.is_zero)
+    return MonomialMatrix(perm, tuple(draw(weight) for _ in range(n)))
 
 
 @st.composite
 def two_leg_elements(draw):
     spec = GroupSpec(draw(st.sampled_from(((2,), (3,), (1,)))))
     basis = list(spec.basis())
-    terms = {(a, b): draw(scalars()) for a in basis for b in basis}
+    # few orders: the dense oracle multiplies d^3-sided matrices of them
+    terms = {(a, b): draw(scalars(orders=(3, 4))) for a in basis for b in basis}
     return spec, TensorElement(spec, 2, {k: c for k, c in terms.items() if not c.is_zero})
 
 
@@ -311,7 +336,7 @@ def character_monomials(draw):
     of them are the flip times a diagonal, which solves the braid relation."""
     spec = GroupSpec(draw(st.sampled_from(((2,), (3,)))))
     d = spec.dimension
-    p = draw(monomials(d * d))
+    p = draw(monomials(d * d, scale=1, zeros=False, orders=(3, 4)))
     if draw(st.booleans()):
         p = MonomialMatrix(tuple((i % d) * d + i // d for i in range(d * d)), p.weights)
     return spec, p
@@ -336,7 +361,10 @@ def test_random_character_monomials_agree_with_the_oracle(case):
 @st.composite
 def monomial_pairs(draw):
     n = draw(st.integers(1, 4))
-    return draw(monomials(n)), draw(monomials(n))
+    a, b = draw(monomials(n)), draw(monomials(n))
+    if draw(st.booleans()):  # one pattern, so that the pair can be added
+        b = MonomialMatrix(a.perm, b.weights)
+    return a, b
 
 
 OPS = MonomialOps(GroupSpec((1,)))
@@ -345,7 +373,13 @@ OPS = MonomialOps(GroupSpec((1,)))
 @given(monomials())
 def test_dense_round_trip(a):
     dense = a.to_matrix()
-    assert MonomialMatrix.from_matrix(dense) == a
+    assert MonomialMatrix(a.perm, a.weights) == a
+    assert MonomialMatrix(a.perm, a.weights).to_matrix() == dense
+    if all(not w.is_zero for w in a.weights):
+        assert MonomialMatrix.from_matrix(dense) == a
+    else:  # a zero row holds no entry
+        with pytest.raises(NotMonomialError):
+            MonomialMatrix.from_matrix(dense)
     assert OPS.invertible(a) == EXACT.invertible(dense)
 
 
@@ -360,6 +394,31 @@ def test_product_and_equality_match_dense(pair):
     assert (a @ b).to_matrix() == a.to_matrix() @ b.to_matrix()
     assert OPS.equal(a, b) == (a.to_matrix() == b.to_matrix())
     assert OPS.equal(a, a) and OPS.equal(a @ b, a @ b)
+    if a.perm == b.perm:
+        assert (a + b).to_matrix() == a.to_matrix() + b.to_matrix()
+    else:
+        with pytest.raises(NotMonomialError):
+            a + b
+    # equal numerators over another denominator are another matrix
+    halved = MonomialMatrix(a.perm, tuple(w / 2 for w in a.weights))
+    assert OPS.equal(a, halved) == all(w.is_zero for w in a.weights)
+
+
+def test_diagonal_products_make_no_scalar_products(monkeypatch):
+    spec = GroupSpec((12,))
+    ops = MonomialOps(spec)
+    r12, r13, r23 = (ops.tensor(leg_embedding(universal_r(spec), 3, pos))
+                     for pos in ((0, 1), (0, 2), (1, 2)))
+    two = ops.tensor(2 * TensorElement.unit(spec, 3))
+    calls = []
+    mul = CyclotomicNumber.__mul__
+    monkeypatch.setattr(CyclotomicNumber, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    left = ops.mul(ops.mul(r12, r13), r23)
+    assert ops.equal(left, ops.mul(ops.mul(r23, r13), r12))
+    assert ops.equal(ops.kron(r12, ops.identity(12)), ops.kron(r12, ops.identity(12)))
+    assert ops.equal(left + left, ops.mul(left, two))
+    assert calls == []
 
 
 def test_identity_is_the_dense_identity():
