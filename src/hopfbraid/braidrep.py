@@ -11,11 +11,14 @@ letter i as the two-qudit gate R' (or its inverse) to strands (i-1, i),
 through linalg.apply_on_qudits, in written order: the first letter is the
 rightmost factor of the evaluated matrix product.  No generator is built,
 and the word's d^N x d^N matrix only when it is asked for.
+check_hexagon braids each distinct pair of its modules once (braiding_map),
+so on three copies of one module it builds a single R'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .groupalg import AlgebraElement, GroupSpec, TensorElement, as_single_leg, universal_r
 from .linalg import (
@@ -202,12 +205,12 @@ def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction,
 def check_hexagon(u: ModuleAction, v: ModuleAction, w: ModuleAction,
                   r: TensorElement, ops=EXACT) -> bool:
     """The hexagon identity for the braiding maps of the triple (U, V, W);
-    for U = V = W it is the braid relation itself."""
+    for U = V = W it is the braid relation itself.  Each distinct pair of
+    modules is braided (and lifted) once, so U = V = W builds one R'."""
     if not (u.spec == v.spec == w.spec):
         raise ValueError("module actions live over different specs")
-    c_uv = ops.matrix(braiding_map(u, v, r))
-    c_uw = ops.matrix(braiding_map(u, w, r))
-    c_vw = ops.matrix(braiding_map(v, w, r))
+    braided = cache(lambda a, b: ops.matrix(braiding_map(a, b, r)))
+    c_uv, c_uw, c_vw = braided(u, v), braided(u, w), braided(v, w)
     iu = ops.identity(u.dimension)
     iv = ops.identity(v.dimension)
     iw = ops.identity(w.dimension)

@@ -35,7 +35,6 @@ from .braidrep import (
     BraidWord,
     ModuleAction,
     braided_r,
-    braiding_map,
     check_braid_relations,
     check_hexagon,
     check_module_morphism,
@@ -134,7 +133,7 @@ CHOICES = {
     "hexagon": Choice((
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
               "module", lambda x, ops: check_module_morphism(
-                  braiding_map(x.module, x.module, x.r), x.module, x.module, ops)),
+                  x.own.matrix, x.module, x.module, ops)),
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
               "module", lambda x, ops: check_hexagon(x.module, x.module, x.module, x.r, ops)),
     ), legs=3, monomial=True),
@@ -350,7 +349,10 @@ def cmd_gen_r(args, argv) -> int:
 
 class _Inputs:
     """What the checks of one ``check`` command are applied to, each built
-    on first use, so a command builds only what its selected checks read."""
+    on first use, so a command builds only what its selected checks read.
+    ``own`` is the spec's R', built from r once per command; ``braided`` is
+    the R' the braided checks read: the --r-matrix file's, else ``own``.
+    The module morphism always reads ``own``."""
 
     def __init__(self, spec: GroupSpec, args, external: BraidedRMatrix | None):
         self.spec, self.form, self.strands, self.external = spec, args.form, args.strands, external
@@ -360,8 +362,12 @@ class _Inputs:
         return _build_r(self.spec, self.form)
 
     @cached_property
+    def own(self) -> BraidedRMatrix:
+        return braided_r(self.spec, self.r)
+
+    @cached_property
     def braided(self) -> BraidedRMatrix:
-        return self.external if self.external is not None else braided_r(self.spec, self.r)
+        return self.external if self.external is not None else self.own
 
     @cached_property
     def module(self) -> ModuleAction:

@@ -67,8 +67,14 @@ class GroupSpec:
         return itertools.product(*(range(n) for n in self.orders))
 
 
-def _prune(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if not v.is_zero}
+def _accumulate(pairs) -> dict:
+    """The sparse sum of (key, scalar) pairs: the scalars of equal keys
+    added in order, and the keys whose sum is zero dropped."""
+    out: dict = {}
+    for key, c in pairs:
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return {k: v for k, v in out.items() if not v.is_zero}
 
 
 class AlgebraElement:
@@ -97,12 +103,7 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, spec: GroupSpec, pairs) -> "AlgebraElement":
-        terms: dict = {}
-        for exps, coeff in pairs:
-            key = spec.reduce(exps)
-            c = as_scalar(coeff)
-            terms[key] = terms.get(key, rational(0)) + c
-        return cls(spec, _prune(terms))
+        return cls(spec, _accumulate((spec.reduce(exps), as_scalar(c)) for exps, c in pairs))
 
     @property
     def is_zero(self) -> bool:
@@ -113,10 +114,8 @@ class AlgebraElement:
             return NotImplemented
         if other.spec != self.spec:
             raise ValueError("group spec mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, rational(0)) + c
-        return AlgebraElement(self.spec, _prune(out))
+        return AlgebraElement(self.spec,
+                              _accumulate(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return AlgebraElement(self.spec, {k: -c for k, c in self.terms.items()})
@@ -131,14 +130,9 @@ class AlgebraElement:
             if other.spec != self.spec:
                 raise ValueError("group spec mismatch")
             orders = self.spec.orders
-            out: dict = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    k = tuple((x + y) % n for x, y, n in zip(ka, kb, orders))
-                    c = ca * cb
-                    prev = out.get(k)
-                    out[k] = c if prev is None else prev + c
-            return AlgebraElement(self.spec, _prune(out))
+            return AlgebraElement(self.spec, _accumulate(
+                (tuple((x + y) % n for x, y, n in zip(ka, kb, orders)), ca * cb)
+                for ka, ca in self.terms.items() for kb, cb in other.terms.items()))
         c = as_scalar(other)
         if c.is_zero:
             return AlgebraElement.zero(self.spec)
@@ -185,14 +179,10 @@ class TensorElement:
 
     @classmethod
     def from_terms(cls, spec: GroupSpec, legs: int, pairs) -> "TensorElement":
-        terms: dict = {}
-        for key, coeff in pairs:
-            key = tuple(spec.reduce(e) for e in key)
-            if len(key) != legs:
-                raise ValueError("term has the wrong number of legs")
-            c = as_scalar(coeff)
-            terms[key] = terms.get(key, rational(0)) + c
-        return cls(spec, legs, _prune(terms))
+        pairs = [(tuple(spec.reduce(e) for e in key), c) for key, c in pairs]
+        if any(len(key) != legs for key, _ in pairs):
+            raise ValueError("term has the wrong number of legs")
+        return cls(spec, legs, _accumulate((key, as_scalar(c)) for key, c in pairs))
 
     @property
     def is_zero(self) -> bool:
@@ -203,10 +193,8 @@ class TensorElement:
             return NotImplemented
         if other.spec != self.spec or other.legs != self.legs:
             raise ValueError("tensor shape mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, rational(0)) + c
-        return TensorElement(self.spec, self.legs, _prune(out))
+        return TensorElement(self.spec, self.legs,
+                             _accumulate(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return TensorElement(self.spec, self.legs, {k: -c for k, c in self.terms.items()})
@@ -221,17 +209,10 @@ class TensorElement:
             if other.spec != self.spec or other.legs != self.legs:
                 raise ValueError("tensor shape mismatch")
             orders = self.spec.orders
-            out: dict = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    k = tuple(
-                        tuple((x + y) % n for x, y, n in zip(la, lb, orders))
-                        for la, lb in zip(ka, kb)
-                    )
-                    c = ca * cb
-                    prev = out.get(k)
-                    out[k] = c if prev is None else prev + c
-            return TensorElement(self.spec, self.legs, _prune(out))
+            return TensorElement(self.spec, self.legs, _accumulate(
+                (tuple(tuple((x + y) % n for x, y, n in zip(la, lb, orders))
+                       for la, lb in zip(ka, kb)), ca * cb)
+                for ka, ca in self.terms.items() for kb, cb in other.terms.items()))
         c = as_scalar(other)
         if c.is_zero:
             return TensorElement.zero(self.spec, self.legs)
@@ -274,10 +255,7 @@ def opposite_coproduct(x: AlgebraElement) -> TensorElement:
 
 def counit(x: AlgebraElement) -> CyclotomicNumber:
     """Linear map sending every basis element to 1."""
-    total = rational(0)
-    for c in x.terms.values():
-        total = total + c
-    return total
+    return sum(x.terms.values(), rational(0))
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
@@ -310,23 +288,16 @@ def leg_embedding(t: TensorElement, legs: int, positions: tuple[int, int]) -> Te
 
 def coproduct_on_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one leg, duplicating it in place."""
-    out: dict = {}
-    for key, c in t.terms.items():
-        b = key[leg]
-        nk = key[:leg] + (b, b) + key[leg + 1:]
-        out[nk] = out.get(nk, rational(0)) + c
-    return TensorElement(t.spec, t.legs + 1, _prune(out))
+    return TensorElement(t.spec, t.legs + 1, _accumulate(
+        (key[:leg] + (key[leg],) + key[leg:], c) for key, c in t.terms.items()))
 
 
 def counit_on_leg(t: TensorElement, leg: int) -> TensorElement:
     """Contract one leg with the counit (every basis element counts 1)."""
     if t.legs < 2:
         raise ValueError("need at least two legs to contract one away")
-    out: dict = {}
-    for key, c in t.terms.items():
-        nk = key[:leg] + key[leg + 1:]
-        out[nk] = out.get(nk, rational(0)) + c
-    return TensorElement(t.spec, t.legs - 1, _prune(out))
+    return TensorElement(t.spec, t.legs - 1, _accumulate(
+        (key[:leg] + key[leg + 1:], c) for key, c in t.terms.items()))
 
 
 def as_single_leg(x: AlgebraElement) -> TensorElement:
@@ -339,12 +310,9 @@ def as_single_leg(x: AlgebraElement) -> TensorElement:
 
 def _phase_element(spec: GroupSpec, order: int, exponent) -> TensorElement:
     """The two-leg element (1/dim) * sum_(a,b) zeta_order^exponent(a, b) g^a (x) g^b."""
-    norm = Fraction(1, spec.dimension)
-    terms = {}
-    for a in spec.basis():
-        for b in spec.basis():
-            terms[(a, b)] = root_of_unity(order, exponent(a, b) % order) * norm
-    return TensorElement(spec, 2, terms)
+    scale = rational(Fraction(1, spec.dimension))
+    return TensorElement(spec, 2, {(a, b): root_of_unity(order, exponent(a, b) % order) * scale
+                                   for a in spec.basis() for b in spec.basis()})
 
 
 def _factor_phase(spec: GroupSpec, a, b) -> int:

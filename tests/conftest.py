@@ -6,8 +6,27 @@ exact arithmetic is slow on a loaded machine) and at most 50 examples per
 test, so the suite stays short.
 """
 
+import pytest
 from hypothesis import settings
+
+from hopfbraid import braidrep, cli
 
 settings.register_profile("hopfbraid", derandomize=True, deadline=None, max_examples=50,
                           database=None)
 settings.load_profile("hopfbraid")
+
+
+@pytest.fixture
+def braiding_builds(monkeypatch):
+    """A list that grows by one entry per call of braidrep.braiding_map,
+    counted in every module that holds the name."""
+    builds, build = [], braidrep.braiding_map
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    for module in (braidrep, cli):
+        if hasattr(module, "braiding_map"):
+            monkeypatch.setattr(module, "braiding_map", counted)
+    return builds

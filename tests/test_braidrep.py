@@ -24,8 +24,8 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import (Matrix, conjugate_transpose, flip_operator, invert_matrix,
-                              kron, regular_representation)
+from hopfbraid.linalg import (Matrix, MonomialOps, conjugate_transpose, flip_operator,
+                              invert_matrix, kron, regular_representation)
 from hopfbraid.quantum import BELL_KINDS, StateVector, bell_state
 from hopfbraid.scalar import rational, root_of_unity
 
@@ -222,6 +222,18 @@ def test_check_hexagon_regular_triples():
 def test_hexagon_on_equal_modules_matches_braided_ybe():
     reg = ModuleAction.regular(S2)
     assert check_hexagon(reg, reg, reg, universal_r(S2)) == check_braided_ybe(braided_r(S2))
+
+
+def test_hexagon_braids_each_distinct_pair_of_modules_once(braiding_builds):
+    reg = ModuleAction.regular(S3)
+    triv = ModuleAction.trivial(S3)
+    r = universal_r(S3)
+    # on three copies of one module the hexagon is the braid relation of one R'
+    assert check_hexagon(reg, reg, reg, r, MonomialOps(S3))
+    assert len(braiding_builds) == 1
+    # (triv, reg) twice and (reg, reg) once
+    assert check_hexagon(triv, reg, reg, r)
+    assert len(braiding_builds) == 3
 
 
 def test_hexagon_mixed_modules():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hopfbraid
-from hopfbraid import cli
+from hopfbraid import braidrep, cli
 from hopfbraid.braidrep import BraidWord, braided_r, evaluate_braid_word
 from hopfbraid.cli import (CHOICES, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS, main,
                            matrix_entries, transform_cells)
@@ -486,13 +486,20 @@ def test_each_choice_reports_its_slice_of_the_all_report(capsys, backend):
     assert start == len(everything)
 
 
+def test_check_all_builds_the_braiding_once_per_module_pair(capsys, braiding_builds):
+    # R' for the braided checks and the module morphism, then the hexagon's
+    # own regular module, braided with itself once
+    assert run(capsys, "check", "--orders", "4", "--which", "all")[0] == 0
+    assert len(braiding_builds) == 2
+
+
 @pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])
 def test_algebra_choices_build_no_braided_matrix(monkeypatch, capsys, which):
     def refuse(*args):
         raise AssertionError("built a matrix an algebra-level check does not read")
 
-    for name in ("braided_r", "braiding_map"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "braided_r", refuse)
+    monkeypatch.setattr(braidrep, "braiding_map", refuse)
     # quasitriangular and ybe run on character-basis diagonals, which need
     # no certificate; hopf runs dense and builds no MonomialOps at all
     monkeypatch.setattr(MonomialOps, "matrix", refuse)

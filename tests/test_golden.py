@@ -50,6 +50,10 @@ CASES = {
     "check_3_braid_4.json": ["check", "--orders", "3", "--which", "braid", "--strands",
                              "4", "--json"],
     "check_3_all.txt": ["check", "--orders", "3", "--which", "all"],
+    # the float cross-check of every identity on a two-factor spec
+    "check_23_all_float.json": ["check", "--orders", "2,3", "--which", "all", "--backend",
+                                "float", "--json"],
+    "check_6_hexagon.json": ["check", "--orders", "6", "--which", "hexagon", "--json"],
     # the algebra-level identities below are decided on character-basis diagonals
     "check_26_quasitriangular.json": ["check", "--orders", "2,6", "--which",
                                       "quasitriangular", "--json"],
@@ -124,7 +128,8 @@ def test_braid_output_on_four_strands_matches_golden(tmp_path, capsys):
                                  "braid_2_word_output", tmp_path, capsys)
 
 
-def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):
+def _changed_gen_r(tmp_path, capsys) -> Path:
+    """The 2,2 R' exported by gen-r with entry 0 changed from 1/4 to 5/4."""
     out_dir = tmp_path / "gen"
     assert main(["gen-r", "--orders", "2,2", "--output", str(out_dir)]) == 0
     capsys.readouterr()
@@ -132,11 +137,28 @@ def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):
     data = json.loads(path.read_text())
     data["entries"][0] = {"order": 1, "coeffs": [[5, 4]]}  # was 1/4
     path.write_text(json.dumps(data))
-    # the changed matrix has no monomial certificate, so the dense path decides
-    with pytest.raises(NotMonomialError):
-        MonomialOps(GroupSpec((2, 2))).matrix(matrix_from_json(data))
+    return path
+
+
+def _changed_r_matrix_matches_golden(which: str, name: str, tmp_path, capsys) -> Path:
+    path = _changed_gen_r(tmp_path, capsys)
     for suffix, extra in (("txt", []), ("json", ["--json"])):
-        assert main(["check", "--orders", "2,2", "--which", "braided-ybe",
+        assert main(["check", "--orders", "2,2", "--which", which,
                      "--r-matrix", str(path), *extra]) == 1
         report = _normalise(capsys.readouterr().out, tmp_path)
-        assert report == (GOLDEN / f"check_22_braided_ybe_dense_fallback.{suffix}").read_text()
+        assert report == (GOLDEN / f"{name}.{suffix}").read_text()
+    return path
+
+
+def test_changed_gen_r_entry_fails_through_the_dense_fallback(tmp_path, capsys):
+    path = _changed_r_matrix_matches_golden(
+        "braided-ybe", "check_22_braided_ybe_dense_fallback", tmp_path, capsys)
+    # the changed matrix has no monomial certificate, so the dense path decided
+    with pytest.raises(NotMonomialError):
+        MonomialOps(GroupSpec((2, 2))).matrix(matrix_from_json(json.loads(path.read_text())))
+
+
+def test_imported_r_matrix_and_own_braiding_split_the_report(tmp_path, capsys):
+    # braided-ybe and braid-relations-3 read the file's R' and fail; the
+    # module morphism and the hexagon braid with the spec's own R' and pass
+    _changed_r_matrix_matches_golden("all", "check_22_all_split_r_matrix", tmp_path, capsys)
