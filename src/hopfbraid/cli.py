@@ -24,7 +24,7 @@ import re
 import sys
 import time
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -157,6 +157,9 @@ MAX_BRAID_WORK = 1 << 24
 # ... and no exact hopf check of more than this many tensor-element
 # operations (about 3 us each, so about seven seconds of them).
 MAX_TENSOR_WORK = 1 << 21
+# ... and no braid relations or braid word on more strands than this: at
+# d = 1 every matrix is 1x1, so no estimate above bounds the strand loops.
+MAX_STRANDS = 64
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
@@ -164,8 +167,10 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     local dimension d: the entries of the largest matrix it builds, where
     path is "dense" (exact), "monomial" (MonomialOps, after a d^2 x d^2
     certificate) or "float" (numpy).  Also used for ``gen-r`` with "gen-r".
-    Exact algebra-level checks build no matrix (see transform_cells); the
-    float backend lifts their three-leg tensors into d^3-sided matrices."""
+    Exact algebra-level checks build no matrix (see transform_cells).  The
+    float backend lifts their three-leg tensors to d^3 FFT diagonals, yet
+    prices them at d^6, the entries of their dense d^3-sided regular image,
+    so it refuses them at the same d as a dense float lift would."""
     legs = 2 if which == "gen-r" else CHOICES[which].legs
     if legs is None:
         return d ** 6 if path == "float" else 0
@@ -211,6 +216,12 @@ def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
         crossing = Counter(abs(x) for x in word.letters)
         work += sum(size * (1 + d ** min(c, n - c, 2 * crossing[c])) for c in range(1, n))
     return work
+
+
+def _admit_strands(strands: int, what: str):
+    if strands > MAX_STRANDS:
+        raise ValueError(f"{what} on {strands} strands is above the limit of "
+                         f"{MAX_STRANDS} strands")
 
 
 def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: int = 0):
@@ -408,6 +419,8 @@ def cmd_check(args, argv) -> int:
 
     for which in selected:
         side, path = plan(which)
+        if CHOICES[which].legs == STRANDS:
+            _admit_strands(args.strands, f"check --which {which}")
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
                transform_cells(side, which, path), tensor_ops=tensor_work(side, which, path))
 
@@ -447,6 +460,7 @@ def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
     report = Report(" ".join(argv), args.backend)
     word = BraidWord(args.strands, _parse_word(args.word))
+    _admit_strands(word.strands, "braid")
     d = spec.dimension
     # the largest matrix that runs: R', the state column and each Schmidt
     # matrix (d^N entries) or the word's; the cap refuses any d > 1 cheaply
@@ -528,6 +542,7 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="machine readable report")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfbraid",

@@ -1,12 +1,14 @@
 """Floating-point cross-check backend.
 
 ``NumpyOps`` is the numpy side of the backend protocol that every checker
-is written against (see groupalg.ExactAlgebraOps): exact objects are
-pushed through the regular representation into numpy complex matrices,
-every product and sum of lifted objects is taken in floating arithmetic,
-and equality is an absolute entrywise tolerance (1e-9 by default,
-matrices stay small).  This is an independent numerical sanity path next
-to the exact backend, never a replacement for it.
+is written against (see groupalg.ExactAlgebraOps).  A tensor element is
+lifted to the diagonal of its regular image in the character basis, taken
+by numpy's FFT, so tensor products are elementwise; a matrix is lifted to
+a dense numpy complex matrix.  Every product and sum is taken in floating
+arithmetic, and equality is an absolute entrywise tolerance (1e-9 by
+default, the arrays stay small).  This is an independent numerical sanity
+path next to the exact backend, never a replacement for it: it shares no
+arithmetic with the exact character transform.
 """
 
 from __future__ import annotations
@@ -24,32 +26,16 @@ def matrix_complex(m: Matrix) -> np.ndarray:
 
 
 def tensor_complex(spec: GroupSpec, t: TensorElement) -> np.ndarray:
-    """Regular image of a tensor element as a numpy matrix.
-
-    The image of a basis term g^(a_1) (x) ... (x) g^(a_k) is the permutation
-    matrix sending basis index j to the index of its exponents shifted by
-    a_1 .. a_k, so each coefficient is scattered into one cell per column;
-    the row of every cell is computed from the term's exponents.
-    """
-    d, legs = spec.dimension, t.legs
-    size = d ** legs
-    out = np.zeros((size, size), dtype=complex)
-    if not t.terms:
-        return out
-    orders = np.array(spec.orders)
-    strides = d // np.cumprod(orders)  # first factor most significant
-    digits = np.array(list(spec.basis())).reshape(d, len(orders))
-    keys = np.array(list(t.terms), dtype=int).reshape(len(t.terms), legs, len(orders))
-    coeffs = np.array([c.to_complex() for c in t.terms.values()])
-    # shifted[term, leg, j]: index of basis element j shifted by that leg's exponents
-    shifted = ((digits[None, None] + keys[:, :, None]) % orders) @ strides
-    cols = np.arange(size)
-    rows = np.zeros((len(coeffs), size), dtype=int)
-    for leg in range(legs):
-        place = d ** (legs - 1 - leg)
-        rows += shifted[:, leg, (cols // place) % d] * place
-    np.add.at(out, (rows, cols), coeffs[:, None])
-    return out
+    """Diagonal of the regular image of a k-leg tensor element in the
+    character basis, F^(-k) rho^(x)k(t) F^(k) with F as in
+    linalg.character_basis: the FFT (sign -1) of the coefficient array with
+    one axis per cyclic factor of each leg, first leg most significant, the
+    layout of linalg.MonomialOps.tensor.  A 1-D array of length d^k."""
+    shape = spec.orders * t.legs
+    coeffs = np.zeros(shape, dtype=complex)
+    for key, c in t.terms.items():
+        coeffs[sum(key, ())] = c.to_complex()
+    return np.fft.fftn(coeffs).ravel()
 
 
 class NumpyOps:
@@ -65,7 +51,7 @@ class NumpyOps:
         return matrix_complex(m)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
+        return a * b
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.kron(a, b)

@@ -369,9 +369,10 @@ class ExactAlgebraOps:
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
     the identity, products are taken in the tensor-power algebra (one
     scalar product per pair of terms) and equality is exact; this is the
-    oracle.  floatback.NumpyOps lifts a tensor into its regular image in
-    numpy instead, and linalg.MonomialOps into the diagonal of that image
-    in the character basis, where products are pointwise.
+    oracle.  floatback.NumpyOps and linalg.MonomialOps both lift a tensor
+    into the diagonal of its regular image in the character basis, where
+    products are pointwise: NumpyOps by numpy's FFT in complex floats,
+    MonomialOps by an exact character transform.
     linalg.IntegerOps keeps this tensor half and lifts matrices to integer
     arrays.
     """

@@ -42,6 +42,9 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 
+# the largest field order from_json accepts; its tables build in under a second
+MAX_JSON_ORDER = 2048
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
@@ -368,7 +371,8 @@ class CyclotomicNumber:
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicNumber":
         """Inverse of to_json; raises ValueError on malformed input, such as
-        a field that is not a JSON integer (a float, a bool or a string)."""
+        a field that is not a JSON integer (a float, a bool or a string) or
+        an order above MAX_JSON_ORDER."""
         try:
             order, pairs = data["order"], [tuple(pair) for pair in data["coeffs"]]
             fields = [order, *(v for pair in pairs for v in pair)]
@@ -379,6 +383,10 @@ class CyclotomicNumber:
             raise ValueError("cyclotomic number JSON needs an integer 'order' and "
                              "'coeffs' as [numerator, denominator] integer pairs "
                              "with nonzero denominators") from None
+        # the order's tables take about order^2 steps to build, so refuse first
+        if order > MAX_JSON_ORDER:
+            raise ValueError(f"cyclotomic number JSON order {order} is above the limit "
+                             f"of {MAX_JSON_ORDER}")
         return cls(order, coeffs)
 
     def __str__(self) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hopfbraid
-from hopfbraid import braidrep, cli
+from hopfbraid import braidrep, cli, scalar
 from hopfbraid.braidrep import BraidWord, braided_r, evaluate_braid_word
 from hopfbraid.cli import (CHOICES, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS, main,
                            matrix_entries, transform_cells)
@@ -446,6 +446,47 @@ def test_braid_priced_by_its_work_exits_two_quickly(capsys):
                          (3, 4, 40), (2, 6, 10 ** 4)):
         word = BraidWord(n, [(-1) ** k * (1 + k % (n - 1)) for k in range(length)])
         assert cli.braid_work(d, word, False, True) <= cli.MAX_BRAID_WORK, (d, n)
+
+
+@pytest.mark.parametrize("args", [
+    # at d = 1 every matrix is 1x1: 1000 strands ran the relation loops for
+    # 65 s, and the braid command on them for 6 s
+    ("check", "--orders", "1", "--which", "braid", "--strands", "1000"),
+    ("check", "--orders", "1", "--which", "all", "--strands", "65"),
+    ("braid", "--orders", "1", "--strands", "1000", "--word", "1", "--state", "0" * 1000),
+], ids=lambda a: " ".join(a[:6]))
+def test_more_than_64_strands_exit_two_quickly(capsys, args):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+    assert err.startswith("error: ") and "above the limit of 64 strands" in err
+    assert err.count("\n") == 1
+
+
+def test_strand_limit_admits_64_strands_and_ignores_unbraided_choices(capsys):
+    assert cli.MAX_STRANDS == 64
+    code, out, _ = run(capsys, "check", "--orders", "1", "--which", "braid", "--strands", "64")
+    assert code == 0 and "braid-relations-64: pass" in out
+    code, out, _ = run(capsys, "braid", "--orders", "1", "--strands", "64", "--word", "1,63")
+    assert code == 0 and "on 64 strands" in out
+    # --strands sizes only the braid relations
+    assert run(capsys, "check", "--orders", "2", "--which", "hopf", "--strands", "1000")[0] == 0
+
+
+@pytest.mark.parametrize("order", [30_000, 10 ** 9])
+def test_r_matrix_entry_of_a_huge_order_exits_two_quickly(tmp_path, capsys, order):
+    # the cyclotomic tables were built before the coefficient count was
+    # read: order 30,000 took 64 s, and the cost grows as order^2
+    path = _write_r_matrix(tmp_path, {"rows": 1, "cols": 1,
+                                      "entries": [{"order": order, "coeffs": [[1, 1]]}]})
+    args = ("--orders", "1", "--which", "braided-ybe", "--r-matrix", path)
+    done = _check_in_subprocess(*args, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: cyclotomic number JSON order {order} is above the "
+                           f"limit of {scalar.MAX_JSON_ORDER}\n")
+    start = time.perf_counter()
+    assert run(capsys, "check", *args)[0] == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):

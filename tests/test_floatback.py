@@ -25,7 +25,7 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import EXACT, Matrix, MonomialOps, flip_operator
+from hopfbraid.linalg import EXACT, Matrix, MonomialOps, character_basis, flip_operator
 from hopfbraid.quantum import check_bell_actions
 
 FLOAT = floatback.NumpyOps()
@@ -102,16 +102,6 @@ def test_hexagon_and_morphism_float():
     assert not check_module_morphism(Matrix.zeros(4, 4), reg, reg, FLOAT)
 
 
-def test_tensor_complex_matches_exact_gamma():
-    spec = GroupSpec((2, 3))
-    r = universal_r(spec)
-    from hopfbraid.linalg import regular_representation
-
-    exact = floatback.matrix_complex(regular_representation(spec).on_tensor(r))
-    viafloat = floatback.tensor_complex(spec, r)
-    assert np.max(np.abs(exact - viafloat)) < 1e-12
-
-
 def _kron_sum(spec, t):
     """The definition: sum over terms of c * kron of per-leg regular images."""
     from hopfbraid.linalg import regular_representation
@@ -127,14 +117,41 @@ def _kron_sum(spec, t):
     return out
 
 
+def _character_conjugate(spec, t):
+    """F^-k rho(t) F^k in numpy, F the Kronecker product of the factors'
+    character bases, in spec basis order."""
+    f = np.ones((1, 1))
+    for n in spec.orders:
+        f = np.kron(f, floatback.matrix_complex(character_basis(n)))
+    fk = np.ones((1, 1))
+    for _ in range(t.legs):
+        fk = np.kron(fk, f)
+    return np.linalg.solve(fk, _kron_sum(spec, t) @ fk)
+
+
 @pytest.mark.parametrize("form", [universal_r, universal_r_fused_phase],
                          ids=lambda f: f.__name__)
-def test_tensor_complex_scatter_matches_kron_sum(form):
+def test_tensor_complex_is_the_character_diagonal_of_the_kron_sum(form):
     for spec in specs_up_to(6):
         r = form(spec)
         elements = [counit_on_leg(r, 1), r, TensorElement(spec, 2, {})]
         if spec.dimension <= 4:
             elements += [coproduct_on_leg(r, 0), leg_embedding(r, 3, (0, 2))]
         for t in elements:
-            assert np.array_equal(floatback.tensor_complex(spec, t), _kron_sum(spec, t)), \
+            lifted = floatback.tensor_complex(spec, t)
+            assert lifted.shape == (spec.dimension ** t.legs,)
+            image = _character_conjugate(spec, t)
+            assert np.allclose(image, np.diag(lifted), rtol=0, atol=1e-12), (spec, t.legs)
+
+
+@pytest.mark.parametrize("form", [universal_r, universal_r_fused_phase],
+                         ids=lambda f: f.__name__)
+def test_tensor_complex_matches_the_exact_character_diagonal(form):
+    # numpy's FFT against the exact transform of MonomialOps, up to d = 8
+    for spec in specs_up_to(8):
+        r = form(spec)
+        mono = MonomialOps(spec)
+        for t in (counit_on_leg(r, 1), r, leg_embedding(r, 3, (0, 2))):
+            exact = [w.to_complex() for w in mono.tensor(t).weights]
+            assert np.max(np.abs(floatback.tensor_complex(spec, t) - exact)) < 1e-12, \
                 (spec, t.legs)

@@ -226,6 +226,17 @@ def test_from_json_rejects_malformed_input(data):
         CyclotomicNumber.from_json(data)
 
 
+def test_from_json_caps_the_order():
+    cap = scalar.MAX_JSON_ORDER
+    with pytest.raises(ValueError, match="above the limit"):
+        CyclotomicNumber.from_json({"order": cap + 1, "coeffs": [[1, 1]]})
+    # zeta at the cap still decodes
+    deg = len(cyclotomic_polynomial(cap)) - 1
+    coeffs = [[int(k == 1), 1] for k in range(deg)]
+    assert CyclotomicNumber.from_json({"order": cap, "coeffs": coeffs}) == \
+        root_of_unity(cap, 1)
+
+
 @pytest.mark.parametrize("coeff", [0.5, 1.0, 1j, "1", None])
 def test_constructor_rejects_inexact_coefficients(coeff):
     with pytest.raises(TypeError):
