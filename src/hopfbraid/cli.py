@@ -160,6 +160,8 @@ MAX_TENSOR_WORK = 1 << 21
 # ... and no braid relations or braid word on more strands than this: at
 # d = 1 every matrix is 1x1, so no estimate above bounds the strand loops.
 MAX_STRANDS = 64
+# ... and no more cyclic factors than this: order-1 factors raise no estimate above.
+MAX_FACTORS = 64
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
@@ -302,6 +304,9 @@ def _parse_orders(text: str) -> GroupSpec:
         orders = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse orders {text!r}; expected e.g. 2 or 2,3")
+    if len(orders) > MAX_FACTORS:
+        raise ValueError(f"orders of {len(orders)} cyclic factors are above the limit of "
+                         f"{MAX_FACTORS} factors")
     return GroupSpec(orders)
 
 
@@ -403,7 +408,10 @@ def cmd_check(args, argv) -> int:
 
     external = None
     if args.r_matrix:
-        data = json.loads(Path(args.r_matrix).read_text())
+        try:
+            data = json.loads(Path(args.r_matrix).read_text())
+        except RecursionError:
+            raise ValueError(f"{args.r_matrix} is nested too deeply to be a matrix") from None
         m = matrix_from_json(data)
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:

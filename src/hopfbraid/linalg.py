@@ -27,17 +27,18 @@ is the one action routine: every regular image (``on_element``,
 ``on_tensor``) and every braiding map (braidrep) is the matrix of a tensor
 element acting on a tensor product of modules.  ``apply_on_qudits`` places
 every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
-``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``character_transform``
-is the one change to the character basis: both the diagonals and the
-certificates of MonomialOps call its integer core.  ``_power_terms`` is
-the one lift of values to integer terms over the powers of zeta_L,
-``_reduce`` the one reduction of such vectors by the residue table and
-``IntegerMatrix._combine`` the one product of integer arrays;
-character_transform, IntegerMatrix and MonomialMatrix share them.
-``scalar._row_reduce`` is the one
-elimination: inverse, rank and field descent all call it.  It takes the
-first nonzero pivot in each column; exact arithmetic needs no magnitude
-pivoting and this keeps every result deterministic.
+``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``_transform``
+is the one change to the character basis: a product by a character table
+on each axis, for the diagonals and certificates of MonomialOps and for
+``character_transform``.  ``IntegerMatrix.from_entries`` is the one lift
+of values to integer terms over the powers of zeta_L, ``_reduce`` the one
+reduction of such vectors by the residue table and
+``IntegerMatrix._combine`` the one product of integer arrays; the
+transform, IntegerMatrix and MonomialMatrix share them.
+``scalar._row_reduce`` is the one elimination: inverse, rank and field
+descent all call it.  It takes the first nonzero pivot in each column;
+exact arithmetic needs no magnitude pivoting and this keeps every result
+deterministic.
 """
 
 from __future__ import annotations
@@ -390,39 +391,42 @@ EXACT = ExactOps()
 
 def character_basis(n: int) -> Matrix:
     """The character basis of the regular module of Z/n: F[j, c] = zeta_n^(j c),
-    one character per column.  character_transform multiplies by these
-    same powers without building F."""
+    one character per column.  MonomialOps checks it (check_character_basis)
+    and multiplies by it: the character transform is a product by conj(F)^T
+    or F^T on each axis."""
     return Matrix(n, n, [root_of_unity(n, j * c) for j in range(n) for c in range(n)])
 
 
 def check_character_basis(n: int, f: Matrix) -> bool:
-    """The proof obligation of character_transform for one cyclic factor of
-    order n: rho(g) F = F diag(zeta_n^(-c)), so the transform with sign -1
-    is conjugation of the regular action by F, and F conj(F)^T = n I, so
-    F^-1 is conj(F)^T / n, the transform with sign -1 and scale n.
+    """The proof obligation of the character transform for one cyclic factor
+    of order n: F's first row is all ones, rho(g) F = F diag(zeta_n^(-c)) and
+    F conj(F)^T = n I.  The first two fix F[j, c] = zeta_n^(j c) exactly, so
+    conj(F)^T is the character table (the transform with sign -1), F^-1 is
+    conj(F)^T / n, and conjugating the regular action by F diagonalises it.
 
-    Given the first identity, F conj(F)^T commutes with rho(g) (the diagonal
-    is unitary), so it is circulant and its first row decides the second."""
+    Given the second identity, F conj(F)^T commutes with rho(g) (the diagonal
+    is unitary), so it is circulant and its first row decides the third."""
     diag = Matrix(n, n, [root_of_unity(n, -c) if j == c else 0
                          for j in range(n) for c in range(n)])
-    if cyclic_shift(n) @ f != f @ diag:
+    if f.entries[:n] != [1] * n or cyclic_shift(n) @ f != f @ diag:
         return False
     first = Matrix(1, n, f.entries[:n]) @ f.conjugate_transpose()
     return first == Matrix(1, n, [n] + [0] * (n - 1))
 
 
-def _transform_first_axis(arr, n: int, sign: int, big: int):
-    """(n, rest, big) -> (rest, n, big): out[c] = sum_a in[a] * zeta_n^(sign a c),
-    each value a vector over the powers of zeta_big, so that multiplying by
-    a root of unity rotates it."""
-    out = np.zeros((arr.shape[1], n, big), dtype=arr.dtype)
-    powers = np.arange(big)
-    turns = sign * (big // n) * np.arange(n)[:, None]
-    for a in range(n):
-        slab = arr[a]
-        if slab.any():
-            out += slab[:, (powers - a * turns) % big]
-    return out
+def _transform(x: "IntegerMatrix", bases, scale: int = 1) -> "IntegerMatrix":
+    """x's entries, read row-major as an array with one axis per basis (the
+    first most significant), multiplied on every axis by its basis:
+
+        out[c] = (1/scale) * sum_a x[a] * prod_i bases[i][c_i, a_i],
+
+    in x's shape.  One IntegerMatrix product per axis, each of which moves
+    its axis behind the others, so all of them restore the order."""
+    rows, cols = x.rows, x.cols
+    for b in bases:
+        n = b.cols
+        x = b._combine(x, lambda f, v: (f @ v.reshape(n, -1)).T, (rows * cols // n, n), n)
+    return IntegerMatrix(x.order, x.nums.reshape(-1, rows, cols), x.den * scale)
 
 
 def character_transform(shape, signs, entries, scale: int = 1) -> list[CyclotomicNumber]:
@@ -433,61 +437,19 @@ def character_transform(shape, signs, entries, scale: int = 1) -> list[Cyclotomi
     its first factor in the most significant position); missing entries
     are 0.  Returns, in the same order, the entries
 
-        out[c] = (1/scale) * sum_a in[a] * prod_x zeta_(n_x)^(signs[x] a_x c_x).
+        out[c] = (1/scale) * sum_a in[a] * prod_x zeta_(n_x)^(signs[x] a_x c_x),
 
-    The values are read off ``_character_core``'s integer arrays once, at
-    the end.
+    the product by conj(F)^T on each axis of sign -1 and by F^T on each axis
+    of sign +1, F = character_basis(n_x); MonomialOps runs the same
+    products by the character basis of its spec.
     """
-    big, nums, den = _character_core(shape, signs, entries, scale)
-    return _to_values(big, nums.T, den)
-
-
-def _character_core(shape, signs, entries, scale: int = 1):
-    """character_transform on integer arrays: (L, nums, den), where
-    nums[m, c] / den is the coefficient of zeta_L^m in out[c], m < phi(L).
-
-    One axis is transformed at a time.  Each value is held as an integer
-    vector over the L powers of zeta_L, L the lcm of the axis lengths and
-    the value orders, with one common denominator (``_power_terms``), so
-    that multiplying by a root of unity is a rotation; the outputs are
-    reduced by the residue table (``_reduce``) once, at the end.  Integers
-    stay int64 when a bound on every partial sum fits, and are Python
-    integers otherwise.
-    """
-    size = prod(shape)
-    big, cells, powers, ints, denom = _power_terms(entries, lcm(*shape))
-    # an axis of length n multiplies the largest integer by at most n, the
-    # reduction by at most big times the largest residue
-    bound = max(map(abs, ints), default=0) * size * big * _residue_table(big)[1]
-    dtype = _exact_dtype(bound)
-    arr = np.zeros((size, big), dtype=dtype)
-    arr[cells, powers] = np.array(ints, dtype=dtype)
-    for n, sign in zip(shape, signs):
-        # each pass moves its axis behind the others, so all passes restore the order
-        arr = _transform_first_axis(arr.reshape(n, -1, big), n, sign, big)
-    return big, _reduce(arr.reshape(size, big).T, big), denom * scale
+    bases = [IntegerMatrix.from_matrix(f.conjugate_transpose() if sign < 0 else f.transpose())
+             for f, sign in zip(map(character_basis, shape), signs)]
+    x = IntegerMatrix.from_entries(1, prod(shape), entries)
+    return _transform(x, bases, scale).to_matrix().entries
 
 
 # -- integer arrays over the powers of zeta_L -------------------------------
-
-
-def _power_terms(entries, base: int = 1):
-    """The nonzero values of (index, value) pairs as integer multiples of
-    powers of zeta_L over one common denominator, L the lcm of base and the
-    value orders: (L, indices, powers, integers, denominator), one term per
-    nonzero numerator."""
-    entries = [(i, v) for i, v in entries if not v.is_zero]
-    big = lcm(base, *(v.order for _, v in entries))
-    denom = lcm(*(v.den for _, v in entries))
-    cells, powers, ints = [], [], []
-    for i, v in entries:
-        step, scale_v = big // v.order, denom // v.den
-        for k, x in enumerate(v.nums):
-            if x:
-                cells.append(i)
-                powers.append(k * step)
-                ints.append(x * scale_v)
-    return big, cells, powers, ints, denom
 
 
 def _exact_dtype(bound: int, blas: bool = False):
@@ -528,20 +490,6 @@ def _reduce(vectors, order: int, powers=None):
     return flat.reshape(-1, *vectors.shape[1:])
 
 
-def _to_values(order: int, vectors, den: int) -> list[CyclotomicNumber]:
-    """The rows of an (n, phi(order)) integer numerator array over den as
-    values, each distinct row made once."""
-    zero = rational(0)
-    made: dict = {}
-    out = []
-    for row in map(tuple, vectors.tolist()):
-        value = made.get(row)
-        if value is None:
-            value = made[row] = _canonical(order, row, den) if any(row) else zero
-        out.append(value)
-    return out
-
-
 class IntegerMatrix:
     """A matrix over Q(zeta_order) held as integer arrays: nums[m, i, j] / den
     is the coefficient of zeta_order^m in entry (i, j), for m < phi(order).
@@ -572,13 +520,31 @@ class IntegerMatrix:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "IntegerMatrix":
-        big, cells, powers, ints, den = _power_terms(enumerate(m.entries))
+        return cls.from_entries(m.rows, m.cols, enumerate(m.entries))
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries) -> "IntegerMatrix":
+        """The rows x cols matrix of (flat row-major index, value) pairs, one
+        pair per index at most; missing entries are 0.  Each value becomes
+        integer multiples of powers of zeta_L over one common denominator, L
+        the lcm of the value orders, one term per nonzero numerator."""
+        entries = [(i, v) for i, v in entries if not v.is_zero]
+        big = lcm(*(v.order for _, v in entries))
+        den = lcm(*(v.den for _, v in entries))
+        cells, powers, ints = [], [], []
+        for i, v in entries:
+            step, scale_v = big // v.order, den // v.den
+            for k, x in enumerate(v.nums):
+                if x:
+                    cells.append(i)
+                    powers.append(k * step)
+                    ints.append(x * scale_v)
         # an entry holds at most big terms, each reduced by one residue row
         bound = max(map(abs, ints), default=0) * big * _residue_table(big)[1]
         dtype = _exact_dtype(bound)
-        arr = np.zeros((big, m.rows * m.cols), dtype=dtype)
+        arr = np.zeros((big, rows * cols), dtype=dtype)
         arr[powers, cells] = np.array(ints, dtype=dtype)
-        return cls(big, _reduce(arr, big).reshape(-1, m.rows, m.cols), den)
+        return cls(big, _reduce(arr, big).reshape(-1, rows, cols), den)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -593,8 +559,17 @@ class IntegerMatrix:
         return self.nums.shape[2]
 
     def to_matrix(self) -> Matrix:
-        vectors = self.nums.reshape(len(self.nums), -1).T
-        return Matrix(self.rows, self.cols, _to_values(self.order, vectors, self.den))
+        """The entries as values, each distinct numerator vector made once."""
+        zero = rational(0)
+        made: dict = {}
+        out = []
+        for vector in map(tuple, self.nums.reshape(len(self.nums), -1).T.tolist()):
+            value = made.get(vector)
+            if value is None:
+                value = _canonical(self.order, vector, self.den) if any(vector) else zero
+                made[vector] = value
+            out.append(value)
+        return Matrix(self.rows, self.cols, out)
 
     def _at(self, order: int):
         """nums rewritten over Q(zeta_order), order a multiple of self.order."""
@@ -794,37 +769,47 @@ class MonomialOps(ExactOps):
 
     The character basis of the regular module is the Kronecker product F of
     the per-factor bases ``character_basis(n)``, in spec basis order; every
-    element of the group algebra acts diagonally there.  ``tensor`` takes a
-    k-leg element t to the diagonal of F^(-k) rho^(x)k(t) F^(k), the
-    character transform of its coefficients with sign -1 on every leg; a
-    leg on which every term is the identity contributes 1 and is broadcast,
-    not transformed.  ``mul`` of two diagonals is then a pointwise product
-    of integer arrays.  ``matrix`` takes a d^k x d^k matrix m (k <= 2) to
-    F^(-k) m F^(k), the transform with sign -1 and scale n on each row axis
-    and sign +1 on each column axis, and raises NotMonomialError unless
-    that product (the certificate) is monomial.  Both read the transform's
-    integer arrays (``_character_core``), so no scalar is made.
-    Conjugation by the invertible F^(k) is an algebra isomorphism that
-    respects Kronecker products, identities and equality, and the regular
-    representation is faithful, so every verdict equals the dense one.  The
-    constructor checks, for each cyclic factor, that its generator shifts
-    its own digit of the spec basis and the proof obligation of its
-    character basis (``check_character_basis``).
-    Transforms are cached per instance, keyed on the exact coefficients.
+    element of the group algebra acts diagonally there.  The constructor
+    checks, for each cyclic factor, that its generator shifts its own digit
+    of the spec basis and the proof obligation of its character basis
+    (``check_character_basis``), and builds F as the IntegerMatrix
+    Kronecker product of the checked bases' lifts.  Every transform below
+    is a product by F^T or conj(F)^T on each leg (``_transform``), so no
+    scalar is made.  ``tensor`` takes a k-leg element t to the diagonal of
+    F^(-k) rho^(x)k(t) F^(k), its coefficients multiplied by conj(F)^T on
+    every leg; a leg on which every term is the identity contributes 1 and
+    is broadcast, not transformed.  ``mul`` of two diagonals is then a
+    pointwise product of integer arrays.  ``matrix`` takes a d^k x d^k
+    matrix m (k <= 2) to F^(-k) m F^(k), m multiplied by conj(F)^T / d on
+    each row leg and by F^T on each column leg, and raises NotMonomialError
+    unless that product (the certificate) is monomial.  Conjugation by the
+    invertible F^(k) is an algebra isomorphism that respects Kronecker
+    products, identities and equality, and the regular representation is
+    faithful, so every verdict equals the dense one.  Transforms are cached
+    per instance, keyed on the exact coefficients.
     """
 
     def __init__(self, spec: GroupSpec):
         rep, orders = RegularRepresentation(spec), spec.orders
+        inverse = np.zeros(1, dtype=np.intp)  # spec index of each element's inverse
         for i, n in enumerate(orders):
             # the i-th generator shifts the i-th digit of the spec basis, so
-            # the transform's axes are the factors, each diagonalised by its F
+            # F, the Kronecker product of the factors' bases, diagonalises it
             shift = kron(kron(Matrix.identity(prod(orders[:i])), cyclic_shift(n)),
                          Matrix.identity(prod(orders[i + 1:])))
             generator = tuple(int(j == i) for j in range(len(orders)))
-            if rep.on_basis(generator) != shift or \
-                    not check_character_basis(n, character_basis(n)):
+            basis = character_basis(n)
+            if rep.on_basis(generator) != shift or not check_character_basis(n, basis):
                 raise ArithmeticError(f"the character basis of factor {i} (order {n}) "
                                       f"fails its proof obligation")
+            lift = IntegerMatrix.from_matrix(basis)
+            f = lift if i == 0 else f.kron(lift)
+            inverse = (inverse[:, None] * n + -np.arange(n) % n).ravel()
+        # the obligations fix F[j, c] = zeta^(j c), so conj(F[j, c]) = F[j, -c]:
+        # conj(F)^T, the character table (d F^-1), is F^T with its rows permuted
+        transposed = f.nums.transpose(0, 2, 1)
+        self._columns = IntegerMatrix(f.order, transposed, f.den)
+        self._table = IntegerMatrix(f.order, transposed[:, inverse], f.den)
         self.spec = spec
         self.dimension = spec.dimension
         self._cache: dict = {}
@@ -851,14 +836,14 @@ class MonomialOps(ExactOps):
                 for e, n in zip(key[leg], orders):
                     flat = flat * n + e
             entries.append((flat, c))
-        shape = orders * len(active)
-        big, nums, den = _character_core(shape, (-1,) * len(shape), entries)
+        x = IntegerMatrix.from_entries(1, d ** len(active), entries)
+        x = _transform(x, [self._table] * len(active))
         # diagonal index (c_1, ..., c_k) -> index of its active legs' characters
         grid = np.arange(d ** len(active)).reshape([d if leg in active else 1
                                                     for leg in range(t.legs)])
         spread = np.broadcast_to(grid, (d,) * t.legs).ravel()
         return MonomialMatrix(np.arange(d ** t.legs),
-                              IntegerMatrix(big, nums[:, None, spread], den))
+                              IntegerMatrix(x.order, x.nums[:, :, spread], x.den))
 
     def mul(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a @ b
@@ -873,10 +858,8 @@ class MonomialOps(ExactOps):
         if power is None:
             raise NotMonomialError(f"a {m.rows}x{m.cols} matrix is not d or d^2 "
                                    f"square for local dimension {d}")
-        axes = self.spec.orders * power
-        big, nums, den = _character_core(axes * 2, (-1,) * len(axes) + (1,) * len(axes),
-                                         enumerate(m.entries), scale=d ** power)
-        return MonomialMatrix._read(IntegerMatrix(big, nums.reshape(-1, m.rows, m.cols), den))
+        bases = [self._table] * power + [self._columns] * power
+        return MonomialMatrix._read(_transform(IntegerMatrix.from_matrix(m), bases, d ** power))
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a.kron(b)

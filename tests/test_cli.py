@@ -489,6 +489,44 @@ def test_r_matrix_entry_of_a_huge_order_exits_two_quickly(tmp_path, capsys, orde
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_deeply_nested_r_matrix_exits_two_quickly(tmp_path, capsys, closed):
+    # the JSON decoder recursed until a RecursionError traceback, exit 1
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + ("]" * depth if closed else ""))
+    args = ("--orders", "2", "--which", "braided-ybe", "--r-matrix", str(path))
+    done = _check_in_subprocess(*args, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {path} is nested too deeply to be a matrix\n"
+    start = time.perf_counter()
+    assert run(capsys, "check", *args)[0] == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ("check", "--which", "ybe"),
+    ("gen-r", "--output", "unused"),
+    ("braid", "--strands", "2", "--word", "1"),
+], ids=lambda c: c[0])
+def test_more_than_64_factors_exit_two_quickly(capsys, command):
+    # order-1 factors leave d at 1, yet 8,000 of them ran ybe for 20 s
+    orders = ",".join(["1"] * 8000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command[0], "--orders", orders, *command[1:])
+    assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+    assert err == "error: orders of 8000 cyclic factors are above the limit of 64 factors\n"
+    code, _, err = run(capsys, command[0], "--orders", ",".join(["1"] * 65), *command[1:])
+    assert code == 2 and "65 cyclic factors" in err
+
+
+def test_factor_limit_admits_64_factors(capsys):
+    assert cli.MAX_FACTORS == 64
+    code, out, _ = run(capsys, "check", "--orders", ",".join(["1"] * 62 + ["2", "2"]),
+                       "--which", "all")
+    assert code == 0 and "0 fail" in out
+
+
 def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):
     # not monomial in the character basis, and 6^5 is too large a dense side
     sheared = Matrix.identity(36)

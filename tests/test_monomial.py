@@ -115,8 +115,7 @@ def _character_basis(spec: GroupSpec, power: int) -> Matrix:
 
 
 @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("spec", [s for s in specs_up_to(6) if s.dimension <= 4],
-                         ids=lambda s: ",".join(map(str, s.orders)))
+@pytest.mark.parametrize("spec", specs_up_to(6), ids=lambda s: ",".join(map(str, s.orders)))
 def test_certificate_is_the_conjugate_in_the_character_basis(spec, form):
     m = braided_r(spec, form(spec)).matrix
     p = MonomialOps(spec).matrix(m)
@@ -188,10 +187,15 @@ def test_character_basis_proof_obligation():
     conjugated = Matrix(4, 4, [e.conjugate() for e in f.entries])  # diagonalises rho(g)^-1
     swapped = Matrix(4, 4, [f[j, (1, 0, 2, 3)[c]] for j in range(4) for c in range(4)])
     scaled = Matrix(4, 4, [e * (2 if i % 4 == 3 else 1) for i, e in enumerate(f.entries)])
+    # unitary and diagonalises rho(g), but its columns are not the characters
+    twisted = f @ Matrix(4, 4, [root_of_unity(4, c * c) if j == c else 0
+                                for j in range(4) for c in range(4)])
+    assert twisted @ twisted.conjugate_transpose() == Matrix.identity(4) * 4
     for wrong in (conjugated, swapped):
         assert not check_character_basis(4, wrong)
-    # still diagonalises rho(g) as claimed; only F conj(F)^T = n I fails
-    assert _diagonalises_the_shift(scaled) and not check_character_basis(4, scaled)
+    # these still diagonalise rho(g) as claimed
+    for wrong in (scaled, twisted):
+        assert _diagonalises_the_shift(wrong) and not check_character_basis(4, wrong)
 
 
 def test_large_coefficients_leave_int64():
@@ -212,6 +216,11 @@ def test_a_failed_obligation_stops_the_backend(monkeypatch):
     with pytest.raises(ArithmeticError):
         MonomialOps(GroupSpec((2, 3)))
     MonomialOps(GroupSpec((2,)))  # zeta_2 is its own conjugate
+    monkeypatch.setattr(linalg, "character_basis",
+                        lambda n: Matrix(n, n, [root_of_unity(n, j * c + c * c)
+                                                for j in range(n) for c in range(n)]))
+    with pytest.raises(ArithmeticError):  # F diag(zeta_n^(c^2)) transforms wrongly
+        MonomialOps(GroupSpec((2, 3)))
     monkeypatch.undo()
     # a regular representation whose generator shifts the wrong way
     on_basis = linalg.RegularRepresentation.on_basis
@@ -275,6 +284,26 @@ def monomials(draw, size=None, scale=None, zeros=True, orders=ORDERS):
     if not zeros:
         weight = weight.filter(lambda w: not w.is_zero)
     return MonomialMatrix(perm, tuple(draw(weight) for _ in range(n)))
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_character_transform_is_the_defining_sum(data):
+    shape = data.draw(st.sampled_from(((1,), (2,), (3,), (2, 3), (4, 2), (3, 1, 2))))
+    signs = tuple(data.draw(st.sampled_from((-1, 1))) for _ in shape)
+    scale = data.draw(st.integers(1, 6))
+    indices = list(itertools.product(*map(range, shape)))
+    chosen = data.draw(st.lists(st.integers(0, len(indices) - 1), max_size=5, unique=True))
+    entries = [(i, data.draw(scalars(scale=data.draw(st.sampled_from(SCALES))))) for i in chosen]
+    expected = []
+    for c in indices:
+        total = rational(0)
+        for i, value in entries:
+            for n, sign, a_x, c_x in zip(shape, signs, indices[i], c):
+                value = value * root_of_unity(n, sign * a_x * c_x)
+            total = total + value
+        expected.append(total / scale)
+    assert character_transform(shape, signs, entries, scale) == expected
 
 
 @st.composite
