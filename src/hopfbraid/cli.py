@@ -36,7 +36,6 @@ from .braidrep import (
     ModuleAction,
     braided_r,
     check_braid_relations,
-    check_hexagon,
     check_module_morphism,
     evaluate_braid_word,
 )
@@ -134,8 +133,9 @@ CHOICES = {
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
               "module", lambda x, ops: check_module_morphism(
                   x.own.matrix, x.module, x.module, ops)),
+        # on three copies of one module the hexagon is the braid relation of R' (Kassel, XIII)
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
-              "module", lambda x, ops: check_hexagon(x.module, x.module, x.module, x.r, ops)),
+              "module", lambda x, ops: check_braid_relations(3, x.own, ops)),
     ), legs=3, monomial=True),
     "bell-actions": Choice((
         Check("bell-actions",
@@ -169,13 +169,10 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     local dimension d: the entries of the largest matrix it builds, where
     path is "dense" (exact), "monomial" (MonomialOps, after a d^2 x d^2
     certificate) or "float" (numpy).  Also used for ``gen-r`` with "gen-r".
-    Exact algebra-level checks build no matrix (see transform_cells).  The
-    float backend lifts their three-leg tensors to d^3 FFT diagonals, yet
-    prices them at d^6, the entries of their dense d^3-sided regular image,
-    so it refuses them at the same d as a dense float lift would."""
+    Algebra-level checks build no matrix (see transform_cells, tensor_work)."""
     legs = 2 if which == "gen-r" else CHOICES[which].legs
     if legs is None:
-        return d ** 6 if path == "float" else 0
+        return 0
     if legs == STRANDS:
         legs = strands
     # past 64 legs every d > 1 is refused; the cap keeps the estimate cheap
@@ -184,19 +181,19 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
 
 
 def transform_cells(d: int, which: str, path: str) -> int:
-    """Cost estimate of an algebra-level check on the monomial path: the
-    integer cells of its largest character transform, the d^3 diagonal
-    entries of a three-leg element, each a vector over at most d powers of
-    zeta.  0 for every other check and path (the dense exact algebra-level
-    checks multiply sparse tensor elements)."""
-    return d ** 4 if CHOICES[which].legs is None and path == "monomial" else 0
+    """Cost estimate of an algebra-level check on the monomial or float path:
+    the integer cells of its largest character transform (or FFT), the d^3
+    diagonal entries of a three-leg element, each a vector over at most d
+    powers of zeta.  0 for every other check and on the dense path, whose
+    exact algebra-level checks multiply sparse tensor elements."""
+    return d ** 4 if CHOICES[which].legs is None and path != "dense" else 0
 
 
 def tensor_work(d: int, which: str, path: str) -> int:
     """Cost estimate of the exact hopf check in tensor-element operations:
     each of the d basis elements takes about 25 coproducts, counits,
     antipodes, products, sums and comparisons of one-term elements.  0 for
-    every other check and on the float backend, which matrix_entries
+    every other check and on the float backend, which transform_cells
     prices."""
     return 25 * d if which == "hopf" and path != "float" else 0
 
@@ -221,6 +218,8 @@ def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
 
 
 def _admit_strands(strands: int, what: str):
+    if strands < 2:
+        raise ValueError(f"{what} needs at least 2 strands, not {strands}")
     if strands > MAX_STRANDS:
         raise ValueError(f"{what} on {strands} strands is above the limit of "
                          f"{MAX_STRANDS} strands")
@@ -366,9 +365,9 @@ def cmd_gen_r(args, argv) -> int:
 class _Inputs:
     """What the checks of one ``check`` command are applied to, each built
     on first use, so a command builds only what its selected checks read.
-    ``own`` is the spec's R', built from r once per command; ``braided`` is
-    the R' the braided checks read: the --r-matrix file's, else ``own``.
-    The module morphism always reads ``own``."""
+    ``own`` is the spec's R', the one braiding map a command builds; the
+    braided checks read ``braided``: the --r-matrix file's R', else ``own``.
+    The module morphism and the hexagon always read ``own``."""
 
     def __init__(self, spec: GroupSpec, args, external: BraidedRMatrix | None):
         self.spec, self.form, self.strands, self.external = spec, args.form, args.strands, external
@@ -399,13 +398,6 @@ def cmd_check(args, argv) -> int:
     report = Report(" ".join(argv), args.backend, args.timings)
     use_float = args.backend == "float"
 
-    selected = [w for w, choice in CHOICES.items()
-                if args.which in ("all", w) and choice.requires_d in (None, d)]
-    if not selected:
-        need = CHOICES[args.which].requires_d
-        raise ValueError(f"{args.which} requires local dimension {need} "
-                         f"(orders product = {need})")
-
     external = None
     if args.r_matrix:
         try:
@@ -424,6 +416,12 @@ def cmd_check(args, argv) -> int:
         side = external.dimension if external is not None and choice.on_r_prime else d
         return side, ("float" if use_float else
                       "monomial" if choice.monomial and side == d else "dense")
+
+    selected = [w for w, choice in CHOICES.items()
+                if args.which in ("all", w) and choice.requires_d in (None, plan(w)[0])]
+    if not selected:
+        need, side = CHOICES[args.which].requires_d, plan(args.which)[0]
+        raise ValueError(f"{args.which} requires local dimension {need}, not {side}")
 
     for which in selected:
         side, path = plan(which)
@@ -515,7 +513,7 @@ def _parse_state(text: str, d: int, n: int) -> StateVector:
 
 
 def cmd_compare_gates(args, argv) -> int:
-    report = Report(" ".join(argv), args.backend)
+    report = Report(" ".join(argv), "exact")
     report.add_info(f"{'gate':<16} {'braided-ybe':<12} {'unitary':<8} {'bell-basis':<11} "
                     "probe-concurrence")
     probe = StateVector(2, 2, [1, 1, 1, 1])
@@ -602,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = subs.add_parser("compare-gates",
                            help="side-by-side diagnostics of the d=2 braided gate, "
                                 "the unit-scalar family gates, and the Bell matrix")
-    _add_common(cmp_)
+    # every compare-gates verdict is exact, so it takes no --backend
+    cmp_.add_argument("--json", action="store_true", help="machine readable report")
     cmp_.set_defaults(func=cmd_compare_gates)
 
     return parser

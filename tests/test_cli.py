@@ -42,6 +42,35 @@ def test_check_bell_actions_requires_d2(capsys):
     assert "local dimension 2" in err
 
 
+def _gen_r_file(capsys, tmp_path, orders):
+    assert run(capsys, "gen-r", "--orders", orders, "--output", str(tmp_path / orders))[0] == 0
+    return str(tmp_path / orders / "braided_r.json")
+
+
+def test_bell_actions_reads_the_side_of_its_r_matrix(monkeypatch, tmp_path, capsys):
+    three, two = _gen_r_file(capsys, tmp_path, "3"), _gen_r_file(capsys, tmp_path, "2")
+    # all skips bell-actions on an R' of local dimension 3; it exited 2
+    # after running the other seven checks
+    code, out, _ = run(capsys, "check", "--orders", "2", "--which", "all", "--r-matrix", three)
+    assert code == 0 and "8 checks, 8 pass" in out and "bell-actions" not in out
+    # an R' of local dimension 2 runs it, whatever the orders
+    code, out, _ = run(capsys, "check", "--orders", "3", "--which", "bell-actions",
+                       "--r-matrix", two)
+    assert code == 0 and "check bell-actions: pass" in out
+
+    def refuse(*args):
+        raise AssertionError("ran a check of a refused command")
+
+    monkeypatch.setattr(cli, "check_bell_actions", refuse)
+    # the refusal names the side; for orders 3 it said "orders product = 2"
+    for orders, file in (("2", ["--r-matrix", three]), ("3", [])):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--orders", orders, "--which", "bell-actions",
+                             *file)
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        assert err == "error: bell-actions requires local dimension 2, not 3\n"
+
+
 def test_check_fused_records_definite_ybe_result(capsys):
     code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "ybe",
                        "--form", "fused")
@@ -275,9 +304,12 @@ def test_usage_error_exit_code(capsys):
     ["braid", "--orders", "2", "--strands", "2", "--tolerance", "1e-6"],
     ["gen-r", "--orders", "2", "--output", "<tmp>", "--timings"],
     ["compare-gates", "--tolerance", "1e-6"],
-], ids=["braid-timings", "braid-tolerance", "gen-r-timings", "compare-gates-tolerance"])
+    ["compare-gates", "--backend", "float"],
+], ids=["braid-timings", "braid-tolerance", "gen-r-timings", "compare-gates-tolerance",
+        "compare-gates-backend"])
 def test_check_only_options_are_refused_elsewhere(argv, tmp_path, capsys):
-    # only check reads --timings and --tolerance
+    # only check reads --timings and --tolerance, and compare-gates decides
+    # everything exactly, so it takes no --backend
     assert main([str(tmp_path) if a == "<tmp>" else a for a in argv]) == 2
     assert not any(tmp_path.iterdir())
 
@@ -364,7 +396,8 @@ def test_size_guard_estimate():
     assert matrix_entries(6, "braid", 5, "dense") == 6 ** 10
     assert matrix_entries(64, "braided-ybe", 3, "monomial") == 64 ** 4
     assert matrix_entries(12, "quasitriangular", 3, "dense") == 0
-    assert matrix_entries(12, "quasitriangular", 3, "float") == 12 ** 6
+    # the float lift of a three-leg element is a d^3 FFT diagonal, no matrix
+    assert matrix_entries(12, "quasitriangular", 3, "float") == 0
     for refused in [(2, "braid", 12, "dense"), (6, "braid", 5, "dense"),
                     (64, "braided-ybe", 3, "monomial"), (64, "gen-r", 2, "dense"),
                     (2, "braid", 30, "monomial")]:
@@ -376,7 +409,9 @@ def test_transform_guard_estimate():
     assert transform_cells(12, "ybe", "monomial") == 12 ** 4
     assert transform_cells(24, "quasitriangular", "monomial") <= MAX_TRANSFORM_CELLS
     assert transform_cells(64, "ybe", "monomial") > MAX_TRANSFORM_CELLS
-    for unpriced in [(64, "hopf", "dense"), (64, "ybe", "dense"), (64, "ybe", "float"),
+    # the float path's FFT diagonals are priced alike
+    assert transform_cells(64, "ybe", "float") > MAX_TRANSFORM_CELLS
+    for unpriced in [(64, "hopf", "dense"), (64, "ybe", "dense"),
                      (4, "braided-ybe", "monomial")]:
         assert transform_cells(*unpriced) == 0, unpriced
 
@@ -400,11 +435,23 @@ def test_oversized_hopf_check_exits_two_quickly(capsys):
         start = time.perf_counter()
         assert run(capsys, "check", "--orders", orders, "--which", "hopf")[0] == 2
         assert time.perf_counter() - start < 1.0
-    assert cli.tensor_work(10 ** 6, "hopf", "float") == 0  # priced by matrix_entries
+    assert cli.tensor_work(10 ** 6, "hopf", "float") == 0  # priced by transform_cells
     # every hopf check of the tests and the benchmark (d <= 64) stays
     # admitted, and so do far larger ones
     for d in (1, 2, 4, 6, 8, 12, 16, 24, 64, 1000):
         assert cli.tensor_work(d, "hopf", "dense") <= cli.MAX_TENSOR_WORK, d
+
+
+def test_float_algebra_checks_are_priced_by_their_transform(capsys):
+    # priced as dense d^3-sided matrices, orders 12 exited 2 on the float
+    # backend although the exact one ran
+    code, out, _ = run(capsys, "check", "--orders", "12", "--which", "ybe", "--backend", "float")
+    assert code == 0 and "check algebraic-ybe: pass" in out
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--orders", "1000000", "--which", "hopf",
+                         "--backend", "float")
+    assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+    assert err.startswith("error: check --which hopf would transform") and err.count("\n") == 1
 
 
 def test_algebra_checks_at_order_24_run_under_the_guard():
@@ -461,6 +508,18 @@ def test_more_than_64_strands_exit_two_quickly(capsys, args):
     assert code == 2 and out == "" and time.perf_counter() - start < 1.0
     assert err.startswith("error: ") and "above the limit of 64 strands" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["all", "braid"])
+@pytest.mark.parametrize("strands", ["1", "0", "-3"])
+def test_fewer_than_two_strands_exit_two_before_any_check(capsys, which, strands):
+    # all ran hopf through braided-ybe for about 1.5 s before the braid
+    # relations refused one strand
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--orders", "16", "--which", which,
+                         "--strands", strands)
+    assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+    assert err == f"error: check --which braid needs at least 2 strands, not {strands}\n"
 
 
 def test_strand_limit_admits_64_strands_and_ignores_unbraided_choices(capsys):
@@ -566,10 +625,13 @@ def test_each_choice_reports_its_slice_of_the_all_report(capsys, backend):
 
 
 def test_check_all_builds_the_braiding_once_per_module_pair(capsys, braiding_builds):
-    # R' for the braided checks and the module morphism, then the hexagon's
-    # own regular module, braided with itself once
+    # R' once, read by the braided checks, the module morphism and the
+    # hexagon, which on three regular modules is R''s braid relation
     assert run(capsys, "check", "--orders", "4", "--which", "all")[0] == 0
-    assert len(braiding_builds) == 2
+    assert len(braiding_builds) == 1
+    braiding_builds.clear()
+    assert run(capsys, "check", "--orders", "4", "--which", "hexagon")[0] == 0
+    assert len(braiding_builds) == 1
 
 
 @pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])

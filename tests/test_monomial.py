@@ -105,6 +105,17 @@ def test_monomial_verdicts_match_the_oracle(spec, form):
         check_hexagon(reg, reg, reg, r, _oracle(d ** 3))
 
 
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", specs_up_to(8), ids=lambda s: ",".join(map(str, s.orders)))
+def test_hexagon_on_three_regular_modules_is_the_braid_relation_of_r_prime(spec, form):
+    # check reads the hexagon as the braid relation of the R' it has built
+    r = form(spec)
+    reg = ModuleAction.regular(spec)
+    gate = braided_r(spec, r)
+    for ops in (MonomialOps(spec), floatback.NumpyOps(), _oracle(spec.dimension ** 3)):
+        assert check_hexagon(reg, reg, reg, r, ops) == check_braid_relations(3, gate, ops), ops
+
+
 def _character_basis(spec: GroupSpec, power: int) -> Matrix:
     f = Matrix.identity(1)
     for _ in range(power):
