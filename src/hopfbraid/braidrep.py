@@ -11,8 +11,9 @@ letter i as the two-qudit gate R' (or its inverse) to strands (i-1, i),
 through linalg.apply_on_qudits, in written order: the first letter is the
 rightmost factor of the evaluated matrix product.  No generator is built,
 and the word's d^N x d^N matrix only when it is asked for.
-check_hexagon braids each distinct pair of its modules once (braiding_map),
-so on three copies of one module it builds a single R'.
+Modules are linalg.ModuleAction objects, re-exported here.  check_hexagon
+braids each distinct pair of its modules once (braiding_map), so on three
+copies of one module it builds a single R'.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .groupalg import AlgebraElement, GroupSpec, TensorElement, as_single_leg, universal_r
+from .groupalg import GroupSpec, TensorElement, universal_r
 from .linalg import (
     EXACT,
     Matrix,
+    ModuleAction,
     _action_image,
     apply_on_qudits,
     flip_rows,
@@ -128,52 +130,6 @@ def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix,
         gate = r.matrix if letter > 0 else inverse
         acc = apply_on_qudits(gate, acc, d, n, (abs(letter) - 1, abs(letter)))
     return acc
-
-
-class ModuleAction:
-    """An action of the group algebra on a vector space: one matrix per
-    basis element, multiplicative, with the unit acting as the identity."""
-
-    def __init__(self, spec: GroupSpec, matrices: dict):
-        self.spec = spec
-        expected = set(spec.basis())
-        if set(matrices) != expected:
-            raise ValueError("an action needs a matrix for every basis element")
-        dims = {m.rows for m in matrices.values()} | {m.cols for m in matrices.values()}
-        if len(dims) != 1:
-            raise ValueError("all action matrices must be square of equal size")
-        self.dimension = dims.pop()
-        self._matrices = matrices
-
-    @classmethod
-    def regular(cls, spec: GroupSpec) -> "ModuleAction":
-        rep = regular_representation(spec)
-        return cls(spec, {e: rep.on_basis(e) for e in spec.basis()})
-
-    @classmethod
-    def trivial(cls, spec: GroupSpec) -> "ModuleAction":
-        one = Matrix.identity(1)
-        return cls(spec, {e: one for e in spec.basis()})
-
-    def on_basis(self, exps) -> Matrix:
-        return self._matrices[self.spec.reduce(exps)]
-
-    def on_element(self, x: AlgebraElement) -> Matrix:
-        if x.spec != self.spec:
-            raise ValueError("group spec mismatch")
-        return _action_image([self], as_single_leg(x))
-
-    def validate(self) -> bool:
-        """Unit acts as identity and the assignment is multiplicative."""
-        if self.on_basis(self.spec.identity) != Matrix.identity(self.dimension):
-            return False
-        orders = self.spec.orders
-        for a in self.spec.basis():
-            for b in self.spec.basis():
-                ab = tuple((x + y) % n for x, y, n in zip(a, b, orders))
-                if self.on_basis(a) @ self.on_basis(b) != self.on_basis(ab):
-                    return False
-        return True
 
 
 def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:

@@ -182,10 +182,10 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
 
 def transform_cells(d: int, which: str, path: str) -> int:
     """Cost estimate of an algebra-level check on the monomial or float path:
-    the integer cells of its largest character transform (or FFT), the d^3
-    diagonal entries of a three-leg element, each a vector over at most d
-    powers of zeta.  0 for every other check and on the dense path, whose
-    exact algebra-level checks multiply sparse tensor elements."""
+    the cells of its largest transform (integer; complex for the float FFT),
+    the d^3 diagonal entries of a three-leg element, each a vector over at
+    most d powers of zeta.  0 for every other check and on the dense path,
+    whose exact algebra-level checks multiply sparse tensor elements."""
     return d ** 4 if CHOICES[which].legs is None and path != "dense" else 0
 
 
@@ -225,12 +225,14 @@ def _admit_strands(strands: int, what: str):
                          f"{MAX_STRANDS} strands")
 
 
-def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: int = 0):
+def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: int = 0,
+           fft: bool = False):
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
                          f"limit of {MAX_MATRIX_ENTRIES}")
     if cells > MAX_TRANSFORM_CELLS:
-        raise ValueError(f"{what} would transform {cells} integer cells, above the "
+        kind = "complex cells by FFT" if fft else "integer cells"
+        raise ValueError(f"{what} would transform {cells} {kind}, above the "
                          f"limit of {MAX_TRANSFORM_CELLS}")
     if work > MAX_BRAID_WORK:
         raise ValueError(f"{what} would take about {work} exact scalar operations, above "
@@ -428,7 +430,8 @@ def cmd_check(args, argv) -> int:
         if CHOICES[which].legs == STRANDS:
             _admit_strands(args.strands, f"check --which {which}")
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
-               transform_cells(side, which, path), tensor_ops=tensor_work(side, which, path))
+               transform_cells(side, which, path), tensor_ops=tensor_work(side, which, path),
+               fft=path == "float")
 
     inputs = _Inputs(spec, args, external)
     # every dense exact verdict runs on integer arrays; EXACT stays the oracle
@@ -580,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--r-matrix", default=None, help="JSON matrix file to use as R' in the "
                      + "/".join(w for w, c in CHOICES.items() if c.on_r_prime) + " checks")
     chk.add_argument("--tolerance", type=float, default=floatback.DEFAULT_TOL,
-                     help="absolute entrywise tolerance for the float backend")
+                     help="absolute entrywise tolerance for the float backend, also its "
+                          "invertibility floor: the smallest singular value must exceed it")
     chk.add_argument("--timings", action="store_true",
                      help="include wall times (off by default so reports are "
                           "byte-for-byte reproducible)")

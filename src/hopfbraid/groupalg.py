@@ -77,7 +77,28 @@ def _accumulate(pairs) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-class AlgebraElement:
+class _SparseElement:
+    """What AlgebraElement and TensorElement share: a dict of nonzero terms,
+    the difference and the product by a scalar on the left."""
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SparseElement):
+            return NotImplemented
+        return self * other
+
+
+class AlgebraElement(_SparseElement):
     """Sparse linear combination of group basis elements."""
 
     __slots__ = ("spec", "terms")
@@ -96,52 +117,24 @@ class AlgebraElement:
 
     @classmethod
     def basis(cls, spec: GroupSpec, exps, coeff=1) -> "AlgebraElement":
-        c = as_scalar(coeff)
-        if c.is_zero:
-            return cls.zero(spec)
-        return cls(spec, {spec.reduce(exps): c})
+        return cls.from_terms(spec, [(exps, coeff)])
 
     @classmethod
     def from_terms(cls, spec: GroupSpec, pairs) -> "AlgebraElement":
         return cls(spec, _accumulate((spec.reduce(exps), as_scalar(c)) for exps, c in pairs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if other.spec != self.spec:
-            raise ValueError("group spec mismatch")
-        return AlgebraElement(self.spec,
-                              _accumulate(itertools.chain(self.terms.items(), other.terms.items())))
+        return _from_single_leg(as_single_leg(self) + as_single_leg(other))
 
     def __neg__(self):
         return AlgebraElement(self.spec, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            if other.spec != self.spec:
-                raise ValueError("group spec mismatch")
-            orders = self.spec.orders
-            return AlgebraElement(self.spec, _accumulate(
-                (tuple((x + y) % n for x, y, n in zip(ka, kb, orders)), ca * cb)
-                for ka, ca in self.terms.items() for kb, cb in other.terms.items()))
-        c = as_scalar(other)
-        if c.is_zero:
-            return AlgebraElement.zero(self.spec)
-        return AlgebraElement(self.spec, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self * other
+            return _from_single_leg(as_single_leg(self) * as_single_leg(other))
+        return _from_single_leg(as_single_leg(self) * as_scalar(other))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -151,13 +144,10 @@ class AlgebraElement:
     __hash__ = None
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        bits = [f"({c})*g{list(k)}" for k, c in sorted(self.terms.items())]
-        return " + ".join(bits)
+        return repr(as_single_leg(self))
 
 
-class TensorElement:
+class TensorElement(_SparseElement):
     """Sparse element of the k-fold tensor power of the group algebra."""
 
     __slots__ = ("spec", "legs", "terms")
@@ -184,10 +174,6 @@ class TensorElement:
             raise ValueError("term has the wrong number of legs")
         return cls(spec, legs, _accumulate((key, as_scalar(c)) for key, c in pairs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -199,11 +185,6 @@ class TensorElement:
     def __neg__(self):
         return TensorElement(self.spec, self.legs, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             if other.spec != self.spec or other.legs != self.legs:
@@ -214,14 +195,8 @@ class TensorElement:
                        for la, lb in zip(ka, kb)), ca * cb)
                 for ka, ca in self.terms.items() for kb, cb in other.terms.items()))
         c = as_scalar(other)
-        if c.is_zero:
-            return TensorElement.zero(self.spec, self.legs)
-        return TensorElement(self.spec, self.legs, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, TensorElement):
-            return NotImplemented
-        return self * other
+        return TensorElement(self.spec, self.legs,
+                             _accumulate((k, v * c) for k, v in self.terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -303,6 +278,11 @@ def counit_on_leg(t: TensorElement, leg: int) -> TensorElement:
 def as_single_leg(x: AlgebraElement) -> TensorElement:
     """View an algebra element as a one-leg tensor element."""
     return TensorElement(x.spec, 1, {(k,): c for k, c in x.terms.items()})
+
+
+def _from_single_leg(t: TensorElement) -> AlgebraElement:
+    """The inverse of as_single_leg."""
+    return AlgebraElement(t.spec, {k: c for (k,), c in t.terms.items()})
 
 
 # -- distinguished invertible elements ----------------------------------

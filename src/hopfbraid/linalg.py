@@ -22,10 +22,12 @@ Three exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
   column (the certificate); otherwise NotMonomialError is raised, so a
   caller can fall back to a dense backend.
 
-Each exact linear-algebra job has one implementation.  ``_action_image``
-is the one action routine: every regular image (``on_element``,
-``on_tensor``) and every braiding map (braidrep) is the matrix of a tensor
-element acting on a tensor product of modules.  ``apply_on_qudits`` places
+Each exact linear-algebra job has one implementation.  ``ModuleAction``
+is the one module class; ``RegularRepresentation``, its regular case,
+builds each shift permutation on first read.  ``_action_image`` is the
+one action routine: every module image (``on_element``, ``on_tensor``)
+and every braiding map (braidrep) is the matrix of a tensor element
+acting on a tensor product of modules.  ``apply_on_qudits`` places
 every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
 ``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``_transform``
 is the one change to the character basis: a product by a character table
@@ -46,6 +48,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -320,37 +323,33 @@ def _action_image(modules, t: TensorElement) -> Matrix:
     return Matrix(size, size, entries)
 
 
-class RegularRepresentation:
-    """Left regular action of the group algebra on itself.
+class ModuleAction:
+    """An action of the group algebra on a vector space: one matrix per
+    basis element, multiplicative, with the unit acting as the identity.
+    ``_matrices`` maps each reduced exponent tuple to its matrix; every
+    image of an element or a tensor element is ``_action_image``'s."""
 
-    Basis element g^(a_1..a_k) acts as the Kronecker product of cyclic
-    shift powers, one per factor; the map extends linearly to algebra
-    elements and, Kronecker-wise, to tensor elements (k legs give a
-    d^k-dimensional image).
-    """
-
-    def __init__(self, spec: GroupSpec):
+    def __init__(self, spec: GroupSpec, matrices: dict):
         self.spec = spec
-        self._index = {exps: i for i, exps in enumerate(spec.basis())}
-        self._matrix_cache: dict = {}
+        if set(matrices) != set(spec.basis()):
+            raise ValueError("an action needs a matrix for every basis element")
+        dims = {m.rows for m in matrices.values()} | {m.cols for m in matrices.values()}
+        if len(dims) != 1:
+            raise ValueError("all action matrices must be square of equal size")
+        self.dimension = dims.pop()
+        self._matrices = matrices
 
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
+    @classmethod
+    def regular(cls, spec: GroupSpec) -> "RegularRepresentation":
+        return RegularRepresentation(spec)
+
+    @classmethod
+    def trivial(cls, spec: GroupSpec) -> "ModuleAction":
+        one = Matrix.identity(1)
+        return ModuleAction(spec, {e: one for e in spec.basis()})
 
     def on_basis(self, exps) -> Matrix:
-        exps = self.spec.reduce(exps)
-        m = self._matrix_cache.get(exps)
-        if m is None:
-            d = self.dimension
-            m = Matrix.zeros(d, d)
-            one = rational(1)
-            orders = self.spec.orders
-            for col, src in enumerate(self.spec.basis()):
-                row = self._index[tuple((c + e) % n for c, e, n in zip(src, exps, orders))]
-                m.entries[row * d + col] = one
-            self._matrix_cache[exps] = m
-        return m
+        return self._matrices[self.spec.reduce(exps)]
 
     def on_element(self, x: AlgebraElement) -> Matrix:
         if x.spec != self.spec:
@@ -361,6 +360,50 @@ class RegularRepresentation:
         if t.spec != self.spec:
             raise ValueError("group spec mismatch")
         return _action_image([self] * t.legs, t)
+
+    def validate(self) -> bool:
+        """Unit acts as identity and the assignment is multiplicative."""
+        if self.on_basis(self.spec.identity) != Matrix.identity(self.dimension):
+            return False
+        for a in self.spec.basis():
+            for b in self.spec.basis():
+                if self.on_basis(a) @ self.on_basis(b) != self.on_basis(map(add, a, b)):
+                    return False
+        return True
+
+
+class RegularRepresentation(ModuleAction):
+    """Left regular action of the group algebra on itself.
+
+    Basis element g^(a_1..a_k) acts as the Kronecker product of cyclic
+    shift powers, one per factor; the map extends linearly to algebra
+    elements and, Kronecker-wise, to tensor elements (k legs give a
+    d^k-dimensional image).  Each shift permutation is built on its first
+    read and kept in ``_matrices``.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.dimension = spec.dimension
+        self._index = {exps: i for i, exps in enumerate(spec.basis())}
+        self._matrices: dict = {}
+
+    def on_basis(self, exps) -> Matrix:
+        exps = self.spec.reduce(exps)
+        m = self._matrices.get(exps)
+        if m is None:
+            d = self.dimension
+            m = Matrix.zeros(d, d)
+            one = rational(1)
+            for col, src in enumerate(self.spec.basis()):
+                row = self._index[self.spec.reduce(map(add, src, exps))]
+                m.entries[row * d + col] = one
+            self._matrices[exps] = m
+        return m
+
+    # bound here too, so the regular module's images can be traced apart from other modules'
+    on_element = ModuleAction.on_element
+    on_tensor = ModuleAction.on_tensor
 
 
 def regular_representation(spec: GroupSpec) -> RegularRepresentation:

@@ -157,12 +157,13 @@ def verify_bell_actions(gate) -> list[BellActionCheck]:
         phi+ -> psi+,  psi+ -> phi+,  phi- -> phi-,  psi- -> -psi-.
 
     Accepts a BraidedRMatrix of local dimension 2 or a bare 4x4 matrix;
-    reports per-state pass/fail together with the achieved image.
+    reports per-state pass/fail together with the achieved image, a column
+    of the product m @ BELL_SOURCES that check_bell_actions decides.
     """
-    m = _two_qubit_matrix(gate)
+    images = (_two_qubit_matrix(gate) @ BELL_SOURCES).transpose().entries
     results = []
-    for source, label, target in BELL_ACTIONS:
-        image = apply_gate(m, bell_state(source))
+    for j, (source, label, target) in enumerate(BELL_ACTIONS):
+        image = StateVector(2, 2, images[4 * j:4 * j + 4])
         results.append(BellActionCheck(source, label, image == target, image))
     return results
 

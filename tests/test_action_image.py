@@ -23,8 +23,9 @@ from hopfbraid.groupalg import (
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import Matrix, flip_pair, kron, regular_representation
-from hopfbraid.scalar import root_of_unity
+from hopfbraid.linalg import (INTEGER, Matrix, MonomialOps, flip_pair, kron,
+                              regular_representation)
+from hopfbraid.scalar import rational, root_of_unity
 
 R_BUILDERS = [universal_r, universal_r_fused_phase]
 
@@ -100,6 +101,43 @@ def test_braiding_map_on_regular_and_trivial_modules(build):
             c = braiding_map(v, w, r)
             assert c == dense_braiding(v, w, r), spec
             assert _zero_cells_are_rational(c)
+
+
+def test_regular_module_builds_each_matrix_on_first_read():
+    spec = GroupSpec((2, 3))
+    reg = ModuleAction.regular(spec)
+    assert reg._matrices == {}
+    g = reg.on_basis((1, 5))
+    assert list(reg._matrices) == [(1, 2)] and reg.on_basis((-1, 2)) is g
+    assert g == kron(regular_representation(GroupSpec((2,))).on_basis((1,)),
+                     regular_representation(GroupSpec((3,))).on_basis((2,)))
+
+
+@pytest.mark.parametrize("spec", specs_up_to(8), ids=lambda s: ",".join(map(str, s.orders)))
+def test_dict_backed_copy_of_the_regular_module_acts_alike(spec):
+    reg = ModuleAction.regular(spec)
+    copy = ModuleAction(spec, {e: regular_representation(spec).on_basis(e)
+                               for e in spec.basis()})
+    x = AlgebraElement.from_terms(spec, [(e, root_of_unity(spec.field_order, i))
+                                         for i, e in enumerate(spec.basis())])
+    assert reg.on_element(x) == copy.on_element(x)
+    assert reg.validate() and copy.validate()
+    for build in R_BUILDERS:
+        r = build(spec)
+        assert reg.on_tensor(r) == copy.on_tensor(r)
+        c = braiding_map(reg, reg, r)
+        assert c == braiding_map(copy, copy, r)
+    # R' is monomial in the character basis; I + E_01 is invertible but no morphism
+    c = braiding_map(reg, reg, universal_r(spec))
+    monomial = MonomialOps(spec)
+    assert check_module_morphism(c, reg, reg, monomial)
+    assert check_module_morphism(c, copy, copy, monomial)
+    d = spec.dimension
+    if d > 1:
+        bad = Matrix.identity(d * d)
+        bad.entries[1] = rational(1)
+        assert not check_module_morphism(bad, reg, reg, INTEGER)
+        assert not check_module_morphism(bad, copy, copy, INTEGER)
 
 
 def test_braiding_map_on_a_character_module():

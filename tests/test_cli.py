@@ -467,6 +467,27 @@ def test_oversized_algebra_check_exits_two_before_building_a_tensor():
     assert done.stderr.count("\n") == 1
 
 
+def test_tolerance_is_also_the_float_invertibility_floor(capsys):
+    # R' is unitary, so every equality holds, but no singular value is above 1e308
+    code, out, _ = run(capsys, "check", "--orders", "2", "--which", "all", "--backend", "float",
+                       "--tolerance", "1e308")
+    assert code == 1 and out.count(": fail") == 1 and "check module-morphism: fail" in out
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0 and "invertibility floor" in " ".join(out.split())
+
+
+def test_transform_refusals_name_what_each_path_holds(capsys):
+    # the exact path transforms integer cells, the float path takes a complex FFT
+    code, out, err = run(capsys, "check", "--orders", "64", "--which", "ybe")
+    assert (code, out) == (2, "")
+    assert err == ("error: check --which ybe would transform 16777216 integer cells, "
+                   "above the limit of 524288\n")
+    code, out, err = run(capsys, "check", "--orders", "27", "--which", "ybe", "--backend", "float")
+    assert (code, out) == (2, "")
+    assert err == ("error: check --which ybe would transform 531441 complex cells by FFT, "
+                   "above the limit of 524288\n")
+
+
 def test_oversized_braid_exits_two_with_one_line_error(tmp_path, capsys):
     # refused before any matrix is built: the 2^10 x 2^10 word matrix, and a
     # state column of 2^19 amplitudes

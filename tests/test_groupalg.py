@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfbraid.groupalg import (
     AlgebraElement,
     GroupSpec,
     TensorElement,
     antipode,
+    as_single_leg,
     check_algebraic_ybe,
     check_hopf_axioms,
     check_quasi_cocommutative,
@@ -271,3 +274,32 @@ def test_tensor_from_json_accepts_only_integer_fields(field):
     assert len(tensor_from_json(data).terms) == 1
     with pytest.raises(ValueError, match="integer 'orders' and 'legs'"):
         tensor_from_json({**data, **field})
+
+
+def coefficients():
+    return st.builds(lambda k, n, p: k * root_of_unity(n, p),
+                     st.integers(-2, 2), st.sampled_from((1, 2, 3, 4)), st.integers(0, 11))
+
+
+@st.composite
+def algebra_elements(draw, spec):
+    exps = draw(st.lists(st.sampled_from(list(spec.basis())), max_size=5))
+    coeffs = draw(st.lists(coefficients(), min_size=len(exps), max_size=len(exps)))
+    return AlgebraElement.from_terms(spec, zip(exps, coeffs))
+
+
+@given(st.data())
+def test_as_single_leg_commutes_with_the_algebra_operations(data):
+    spec = data.draw(st.sampled_from(specs_up_to(12)), label="spec")
+    x = data.draw(algebra_elements(spec), label="x")
+    # an equal copy of x or a fresh element, so == is drawn both ways
+    y = data.draw(st.one_of(st.just(AlgebraElement.from_terms(spec, x.terms.items())),
+                            algebra_elements(spec)), label="y")
+    c = data.draw(coefficients(), label="c")
+    one = as_single_leg
+    assert one(x + y) == one(x) + one(y)
+    assert one(x - y) == one(x) - one(y) and one(-x) == -one(x)
+    assert one(x * y) == one(x) * one(y)
+    assert one(x * c) == one(x) * c and one(c * x) == c * one(x)
+    assert (x == y) == (one(x) == one(y))
+    assert repr(x) == repr(one(x)) and repr(x * y) == repr(one(x) * one(y))
