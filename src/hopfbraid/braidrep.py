@@ -6,20 +6,26 @@ universal_r; it satisfies the braid relation and powers the generators
 
     R'_i = I^(x)(i-1) (x) R' (x) I^(x)(N-i-1)
 
-on N strands (generator count N-1, total dimension d^N).  A word applies
-letter i as the two-qudit gate R' (or its inverse) to strands (i-1, i),
-through linalg.apply_on_qudits, in written order: the first letter is the
-rightmost factor of the evaluated matrix product.  No generator is built,
-and the word's d^N x d^N matrix only when it is asked for.
-Modules are linalg.ModuleAction objects, re-exported here.  check_hexagon
-braids each distinct pair of its modules once (braiding_map), so on three
-copies of one module it builds a single R'.
+on N strands (generator count N-1, total dimension d^N).  braided_r keeps
+R''s source, the two-leg element r, and builds the dense d^2 x d^2 matrix
+only when ``matrix`` is first read.  A checker lifts R' through its
+backend's ``braided``: the exact dense backends lift that matrix, while
+linalg.MonomialOps and floatback.NumpyOps lift r itself, to the flip
+permutation times r's character-basis diagonal and to a scatter of r's
+complex coefficients.
+A word applies letter i as the two-qudit gate R' (or its inverse) to
+strands (i-1, i), through linalg.apply_on_qudits, in written order: the
+first letter is the rightmost factor of the evaluated matrix product.  No
+generator is built, and the word's d^N x d^N matrix only when it is asked
+for.  Modules are linalg.ModuleAction objects, re-exported here.
+check_hexagon braids each distinct pair of its modules once
+(braiding_map), so on three copies of one module it builds a single R'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .groupalg import GroupSpec, TensorElement, universal_r
 from .linalg import (
@@ -34,26 +40,44 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class BraidedRMatrix:
-    """An invertible solution of the braid relation on V (x) V."""
+    """An invertible solution of the braid relation on V (x) V, given by its
+    d^2 x d^2 matrix or by its source: the two-leg element r whose braiding
+    map on two copies of the regular module it is.  From a source the
+    matrix is built on its first read."""
 
-    dimension: int
-    matrix: Matrix
+    def __init__(self, dimension: int, matrix: Matrix | None = None,
+                 source: TensorElement | None = None):
+        if (matrix is None) == (source is None):
+            raise ValueError("a braided matrix needs its matrix or its source, not both")
+        d = self.dimension = dimension
+        self.source = source
+        if source is None:
+            if matrix.rows != d * d or matrix.cols != d * d:
+                raise ValueError("matrix must be d^2 x d^2 for local dimension d")
+            self.matrix = matrix
+        elif source.legs != 2 or source.spec.dimension != d:
+            raise ValueError("the source must be a two-leg element of local dimension d")
 
-    def __post_init__(self):
-        d = self.dimension
-        if self.matrix.rows != d * d or self.matrix.cols != d * d:
-            raise ValueError("matrix must be d^2 x d^2 for local dimension d")
+    @cached_property
+    def matrix(self) -> Matrix:
+        rep = regular_representation(self.source.spec)
+        return braiding_map(rep, rep, self.source)
 
 
 def braided_r(spec: GroupSpec, r: TensorElement | None = None) -> BraidedRMatrix:
-    """The braided gate for a spec: braiding_map on two copies of the
-    regular representation; r defaults to universal_r(spec)."""
+    """The braided gate for a spec, braiding_map on two copies of the regular
+    representation, kept as its source r; r defaults to universal_r(spec)."""
     if r is None:
         r = universal_r(spec)
-    rep = regular_representation(spec)
-    return BraidedRMatrix(spec.dimension, braiding_map(rep, rep, r))
+    elif r.spec != spec or r.legs != 2:
+        raise ValueError("expected a two-leg element over the spec")
+    return BraidedRMatrix(spec.dimension, source=r)
+
+
+def lift(ops, c):
+    """A braided matrix lifted by its backend's ``braided``, a bare matrix by ``matrix``."""
+    return ops.braided(c) if isinstance(c, BraidedRMatrix) else ops.matrix(c)
 
 
 def _placed(m, d: int, index: int, strands: int, ops):
@@ -81,7 +105,7 @@ def check_braid_relations(strands: int, r: BraidedRMatrix, ops=EXACT) -> bool:
     Yang-Baxter equation (R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')."""
     if strands < 2:
         raise ValueError("need at least two strands")
-    m = ops.matrix(r.matrix)
+    m = ops.braided(r)
     gens = [_placed(m, r.dimension, i, strands, ops) for i in range(1, strands)]
     for i in range(len(gens)):
         for j in range(i + 2, len(gens)):
@@ -143,11 +167,12 @@ def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:
     return flip_rows(_action_image([v, w], r), v.dimension, w.dimension)
 
 
-def check_module_morphism(c: Matrix, v: ModuleAction, w: ModuleAction,
+def check_module_morphism(c: Matrix | BraidedRMatrix, v: ModuleAction, w: ModuleAction,
                           ops=EXACT) -> bool:
-    """True when c is invertible and intertwines the diagonal action:
+    """True when c, a matrix or a braided matrix (lifted by ``lift``), is
+    invertible and intertwines the diagonal action:
     c . (rho_V x rho_W)(D(x)) = (rho_W x rho_V)(D(x)) . c on every basis x."""
-    cl = ops.matrix(c)
+    cl = lift(ops, c)
     if not ops.invertible(cl):
         return False
     for exps in v.spec.basis():

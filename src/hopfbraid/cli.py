@@ -72,8 +72,10 @@ from .quantum import (
     kauffman_lomonaco_r,
     schmidt_rank,
 )
+from .scalar import _degree
 
 STRANDS = "strands"  # legs of a choice whose largest matrix acts on --strands strands
+MONOMIAL = ("monomial", "source")  # the planned paths that run on MonomialOps
 
 
 class Check(NamedTuple):
@@ -131,8 +133,7 @@ CHOICES = {
     ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
-              "module", lambda x, ops: check_module_morphism(
-                  x.own.matrix, x.module, x.module, ops)),
+              "module", lambda x, ops: check_module_morphism(x.own, x.module, x.module, ops)),
         # on three copies of one module the hexagon is the braid relation of R' (Kassel, XIII)
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
               "module", lambda x, ops: check_braid_relations(3, x.own, ops)),
@@ -168,6 +169,7 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     """Cost estimate of one check (a --which choice other than "all") at
     local dimension d: the entries of the largest matrix it builds, where
     path is "dense" (exact), "monomial" (MonomialOps, after a d^2 x d^2
+    certificate), "source" (MonomialOps on R' lifted from r, no
     certificate) or "float" (numpy).  Also used for ``gen-r`` with "gen-r".
     Algebra-level checks build no matrix (see transform_cells, tensor_work)."""
     legs = 2 if which == "gen-r" else CHOICES[which].legs
@@ -177,16 +179,30 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
         legs = strands
     # past 64 legs every d > 1 is refused; the cap keeps the estimate cheap
     side = d ** min(max(legs, 2), 64)
+    if path == "source":
+        return side
     return max(d ** 4, side if path == "monomial" else side * side)
 
 
-def transform_cells(d: int, which: str, path: str) -> int:
-    """Cost estimate of an algebra-level check on the monomial or float path:
-    the cells of its largest transform (integer; complex for the float FFT),
-    the d^3 diagonal entries of a three-leg element, each a vector over at
-    most d powers of zeta.  0 for every other check and on the dense path,
-    whose exact algebra-level checks multiply sparse tensor elements."""
-    return d ** 4 if CHOICES[which].legs is None and path != "dense" else 0
+def transform_cells(d: int, which: str, path: str, strands: int = 3,
+                    order: int | None = None) -> int:
+    """Cost estimate, in integer cells (complex ones for the float FFT), of
+    the arrays a check holds off the dense path.  An algebra-level check on
+    the source, monomial or float path transforms the d^3 diagonal entries
+    of a three-leg element, each a vector over at most d powers of zeta.  A
+    matrix check on the source path holds weights of its monomial side
+    (matrix_entries), each over the phi(order) powers of zeta of R's field
+    (order defaults to d, the largest either form of R needs).  0 for every
+    other check: the dense path's exact algebra-level checks multiply
+    sparse tensor elements, and the others are priced by their entries."""
+    if CHOICES[which].legs is None:
+        return d ** 4 if path != "dense" else 0
+    if path != "source":
+        return 0
+    side, order = matrix_entries(d, which, strands, path), order or d
+    # phi(order) < order; past the entry limit, which refuses first, that
+    # bound stands in, so no cyclotomic polynomial of a huge order is built
+    return side * (_degree(order) if side <= MAX_MATRIX_ENTRIES else order)
 
 
 def tensor_work(d: int, which: str, path: str) -> int:
@@ -367,8 +383,9 @@ def cmd_gen_r(args, argv) -> int:
 class _Inputs:
     """What the checks of one ``check`` command are applied to, each built
     on first use, so a command builds only what its selected checks read.
-    ``own`` is the spec's R', the one braiding map a command builds; the
-    braided checks read ``braided``: the --r-matrix file's R', else ``own``.
+    ``own`` is the spec's R', held as its source r, so a backend that lifts
+    from r builds no dense matrix for it; the braided checks read
+    ``braided``: the --r-matrix file's R', else ``own``.
     The module morphism and the hexagon always read ``own``."""
 
     def __init__(self, spec: GroupSpec, args, external: BraidedRMatrix | None):
@@ -413,11 +430,14 @@ def cmd_check(args, argv) -> int:
         external = BraidedRMatrix(side, m)
 
     def plan(which):
-        """(local dimension, path); MonomialOps certifies only at the spec's d."""
+        """(local dimension, path).  MonomialOps runs only at the spec's d: it
+        certifies the --r-matrix file's R' ("monomial") and lifts everything
+        else from r ("source")."""
         choice = CHOICES[which]
-        side = external.dimension if external is not None and choice.on_r_prime else d
-        return side, ("float" if use_float else
-                      "monomial" if choice.monomial and side == d else "dense")
+        imported = external is not None and choice.on_r_prime
+        side = external.dimension if imported else d
+        return side, ("float" if use_float else "dense" if not choice.monomial or side != d
+                      else "monomial" if imported else "source")
 
     selected = [w for w, choice in CHOICES.items()
                 if args.which in ("all", w) and choice.requires_d in (None, plan(w)[0])]
@@ -425,22 +445,24 @@ def cmd_check(args, argv) -> int:
         need, side = CHOICES[args.which].requires_d, plan(args.which)[0]
         raise ValueError(f"{args.which} requires local dimension {need}, not {side}")
 
+    # the field of R's character-basis diagonal: the fused form's is Q(zeta_d)
+    weight_order = spec.field_order if args.form == "product" else d
     for which in selected:
         side, path = plan(which)
         if CHOICES[which].legs == STRANDS:
             _admit_strands(args.strands, f"check --which {which}")
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
-               transform_cells(side, which, path), tensor_ops=tensor_work(side, which, path),
-               fft=path == "float")
+               transform_cells(side, which, path, args.strands, weight_order),
+               tensor_ops=tensor_work(side, which, path), fft=path == "float")
 
     inputs = _Inputs(spec, args, external)
     # every dense exact verdict runs on integer arrays; EXACT stays the oracle
     ops = floatback.NumpyOps(args.tolerance) if use_float else INTEGER
-    monomial = MonomialOps(spec) if any(plan(w)[1] == "monomial" for w in selected) else None
+    monomial = MonomialOps(spec) if any(plan(w)[1] in MONOMIAL for w in selected) else None
 
     def verdict(which, check):
         side, path = plan(which)
-        if path == "monomial":
+        if path in MONOMIAL:
             try:
                 return check.decide(inputs, monomial)
             except NotMonomialError:

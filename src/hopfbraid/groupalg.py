@@ -344,7 +344,9 @@ class ExactAlgebraOps:
     * ``tensor(t)`` lifts a TensorElement, ``mul(a, b)`` multiplies two
       lifted tensors, ``equal(a, b)`` compares two lifted objects;
     * ``matrix(m)``, ``kron(a, b)``, ``identity(n)`` and ``invertible(m)``
-      do the same for matrices (see linalg.ExactOps).
+      do the same for matrices (see linalg.ExactOps), and ``braided(b)``
+      lifts a braidrep.BraidedRMatrix: from its source r on MonomialOps
+      and NumpyOps, through its dense matrix on the others.
 
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
     the identity, products are taken in the tensor-power algebra (one

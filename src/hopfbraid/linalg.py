@@ -16,11 +16,12 @@ Three exact backends share the ops protocol (see groupalg.ExactAlgebraOps):
 * ``MonomialOps(spec)`` works on ``MonomialMatrix`` objects in the
   character basis of the spec: a numpy permutation and a 1 x n
   IntegerMatrix of weights, multiplied by IntegerMatrix's product.  There
-  a tensor element is the diagonal of its regular image, and a matrix is
-  admitted only after its conjugate by the character basis has been
-  computed exactly and found to hold one nonzero entry in every row and
-  column (the certificate); otherwise NotMonomialError is raised, so a
-  caller can fall back to a dense backend.
+  a tensor element is the diagonal of its regular image, and R' built
+  from its source r is the flip permutation times r's diagonal.  Any
+  other matrix is admitted only after its conjugate by the character
+  basis has been computed exactly and found to hold one nonzero entry in
+  every row and column (the certificate); otherwise NotMonomialError is
+  raised, so a caller can fall back to a dense backend.
 
 Each exact linear-algebra job has one implementation.  ``ModuleAction``
 is the one module class; ``RegularRepresentation``, its regular case,
@@ -425,6 +426,11 @@ class ExactOps(ExactAlgebraOps):
     def invertible(self, m: Matrix) -> bool:
         return m.rows == m.cols and exact_rank(m) == m.rows
 
+    def braided(self, b) -> Matrix:
+        """A braidrep.BraidedRMatrix lifted through its dense matrix, built on
+        first read when b holds only its source."""
+        return self.matrix(b.matrix)
+
 
 EXACT = ExactOps()
 
@@ -509,6 +515,17 @@ def _height(arr) -> int:
     return int(np.abs(arr).max()) if arr.size else 0
 
 
+def _int_array(values, top: int = 0):
+    """Python integers (or rows of them) as an int64 array when they fit,
+    else as an array of Python integers; top, if given, bounds them."""
+    if top < 2 ** 63:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(values, dtype=object)
+
+
 @lru_cache(maxsize=None)
 def _residue_table(order: int):
     """scalar._residues(order) as a read-only dense array, row k the residue
@@ -563,30 +580,48 @@ class IntegerMatrix:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "IntegerMatrix":
-        return cls.from_entries(m.rows, m.cols, enumerate(m.entries))
+        return cls._lift(m.rows, m.cols, np.arange(len(m.entries)), m.entries)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "IntegerMatrix":
         """The rows x cols matrix of (flat row-major index, value) pairs, one
         pair per index at most; missing entries are 0.  Each value becomes
         integer multiples of powers of zeta_L over one common denominator, L
-        the lcm of the value orders, one term per nonzero numerator."""
-        entries = [(i, v) for i, v in entries if not v.is_zero]
-        big = lcm(*(v.order for _, v in entries))
-        den = lcm(*(v.den for _, v in entries))
-        cells, powers, ints = [], [], []
-        for i, v in entries:
-            step, scale_v = big // v.order, den // v.den
-            for k, x in enumerate(v.nums):
-                if x:
-                    cells.append(i)
-                    powers.append(k * step)
-                    ints.append(x * scale_v)
+        the lcm of the orders of the nonzero values: the values of each order
+        are read into one numerator array, scaled to that denominator and
+        scattered to their powers of zeta_L by index arrays."""
+        pairs = list(entries)
+        return cls._lift(rows, cols, np.array([i for i, _ in pairs], dtype=np.intp),
+                         [v for _, v in pairs])
+
+    @classmethod
+    def _lift(cls, rows: int, cols: int, cells, values) -> "IntegerMatrix":
+        """from_entries on an index array and the list of its values (no
+        pairs are made: a dense matrix's many tuples cost a garbage
+        collection pass)."""
+        dens = [v.den for v in values]
+        den = lcm(*set(dens))  # a zero value is 0/1
+        orders = [v.order for v in values]
+        lifted = []  # (order, cells, numerators scaled to den)
+        for order in sorted(set(orders)):
+            sel = np.flatnonzero(np.equal(orders, order))
+            group = values if len(sel) == len(values) else [values[k] for k in sel.tolist()]
+            nums = _int_array([v.nums for v in group])
+            live = nums.any(axis=1)
+            if live.any():
+                nums, sel = nums[live], sel[live]
+                scale = den // _int_array([dens[k] for k in sel.tolist()], den)
+                if _height(nums) * _height(scale) >= 2 ** 63:
+                    nums, scale = nums.astype(object), scale.astype(object)
+                lifted.append((order, cells[sel], nums * scale[:, None]))
+        big = lcm(*(order for order, _, _ in lifted))
         # an entry holds at most big terms, each reduced by one residue row
-        bound = max(map(abs, ints), default=0) * big * _residue_table(big)[1]
-        dtype = _exact_dtype(bound)
+        top = max((_height(ints) for _, _, ints in lifted), default=0)
+        dtype = _exact_dtype(top * big * _residue_table(big)[1])
         arr = np.zeros((big, rows * cols), dtype=dtype)
-        arr[powers, cells] = np.array(ints, dtype=dtype)
+        for order, at, ints in lifted:
+            powers = np.arange(ints.shape[1]) * (big // order)
+            arr[powers[:, None], at] = ints.T.astype(dtype, copy=False)
         return cls(big, _reduce(arr, big).reshape(-1, rows, cols), den)
 
     @classmethod
@@ -683,11 +718,12 @@ class IntegerMatrix:
     __hash__ = None
 
 
-class IntegerOps(ExactAlgebraOps):
-    """The exact backend on IntegerMatrix: ExactAlgebraOps (so tensor
-    elements are unchanged) plus dense matrices over integer arrays.  Every
-    verdict equals EXACT's, and products cost numpy products of phi(L)^2
-    integer slices instead of exact scalar products."""
+class IntegerOps(ExactOps):
+    """The exact backend on IntegerMatrix: ExactOps with every matrix lifted
+    to integer arrays, so tensor elements are unchanged and a braided matrix
+    is lifted through its dense matrix.  Every verdict equals EXACT's, and
+    products cost numpy products of phi(L)^2 integer slices instead of
+    exact scalar products."""
 
     def matrix(self, m: Matrix) -> IntegerMatrix:
         return IntegerMatrix.from_matrix(m)
@@ -825,7 +861,11 @@ class MonomialOps(ExactOps):
     pointwise product of integer arrays.  ``matrix`` takes a d^k x d^k
     matrix m (k <= 2) to F^(-k) m F^(k), m multiplied by conj(F)^T / d on
     each row leg and by F^T on each column leg, and raises NotMonomialError
-    unless that product (the certificate) is monomial.  Conjugation by the
+    unless that product (the certificate) is monomial.  ``braided`` takes a
+    braided matrix with a source r over this spec straight to the flip
+    permutation times ``tensor(r)``, so R' needs no dense matrix and no
+    certificate; the certificate remains for matrices without a source,
+    such as an imported R'.  Conjugation by the
     invertible F^(k) is an algebra isomorphism that respects Kronecker
     products, identities and equality, and the regular representation is
     faithful, so every verdict equals the dense one.  Transforms are cached
@@ -903,6 +943,20 @@ class MonomialOps(ExactOps):
                                    f"square for local dimension {d}")
         bases = [self._table] * power + [self._columns] * power
         return MonomialMatrix._read(_transform(IntegerMatrix.from_matrix(m), bases, d ** power))
+
+    def braided(self, b) -> MonomialMatrix:
+        """R' = flip . Gamma(r) from its source r, with no dense matrix and no
+        certificate: the flip P commutes with F (x) F, so F^-2 R' F^2 = P D,
+        D the diagonal ``tensor(r)``.  That is P's permutation with D's weights
+        gathered by it.  A braided matrix without a source, or with one over
+        another spec, is certified through its dense matrix (``matrix``)."""
+        r = b.source
+        if r is None or r.spec != self.spec:
+            return self.matrix(b.matrix)
+        d = self.dimension
+        flip = np.arange(d * d).reshape(d, d).T.ravel()
+        w = self.tensor(r)._weights
+        return MonomialMatrix(flip, IntegerMatrix(w.order, w.nums[:, :, flip], w.den))
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a.kron(b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braidrep import BraidedRMatrix
+from .braidrep import BraidedRMatrix, lift
 from .linalg import EXACT, Matrix, apply_on_qudits, digit_offsets, exact_rank
 from .scalar import CyclotomicNumber, as_scalar, rational, root_of_unity
 
@@ -140,14 +140,15 @@ class BellActionCheck:
     image: StateVector
 
 
-def _two_qubit_matrix(gate) -> Matrix:
-    """A BraidedRMatrix of local dimension 2 or a bare 4x4 matrix, as a matrix."""
-    m = gate.matrix if isinstance(gate, BraidedRMatrix) else gate
-    if isinstance(gate, BraidedRMatrix) and gate.dimension != 2:
-        raise ValueError("Bell actions are defined for local dimension 2")
-    if m.rows != 4 or m.cols != 4:
+def _two_qubit(gate, ops):
+    """A BraidedRMatrix of local dimension 2 or a bare 4x4 matrix, lifted
+    by braidrep.lift."""
+    if isinstance(gate, BraidedRMatrix):
+        if gate.dimension != 2:
+            raise ValueError("Bell actions are defined for local dimension 2")
+    elif gate.rows != 4 or gate.cols != 4:
         raise ValueError("a 4x4 two-qubit gate is required")
-    return m
+    return lift(ops, gate)
 
 
 def verify_bell_actions(gate) -> list[BellActionCheck]:
@@ -160,7 +161,7 @@ def verify_bell_actions(gate) -> list[BellActionCheck]:
     reports per-state pass/fail together with the achieved image, a column
     of the product m @ BELL_SOURCES that check_bell_actions decides.
     """
-    images = (_two_qubit_matrix(gate) @ BELL_SOURCES).transpose().entries
+    images = (_two_qubit(gate, EXACT) @ BELL_SOURCES).transpose().entries
     results = []
     for j, (source, label, target) in enumerate(BELL_ACTIONS):
         image = StateVector(2, 2, images[4 * j:4 * j + 4])
@@ -172,7 +173,7 @@ def check_bell_actions(gate, ops=EXACT) -> bool:
     """True when the gate maps every Bell state as BELL_ACTIONS expects,
     decided over the given backend with one product: the gate times
     BELL_SOURCES against BELL_TARGETS."""
-    m = ops.matrix(_two_qubit_matrix(gate))
+    m = _two_qubit(gate, ops)
     return ops.equal(m @ ops.matrix(BELL_SOURCES), ops.matrix(BELL_TARGETS))
 
 

@@ -20,6 +20,7 @@ from hopfbraid.braidrep import (
 )
 from hopfbraid.groupalg import (
     GroupSpec,
+    leg_embedding,
     specs_up_to,
     universal_r,
     universal_r_fused_phase,
@@ -246,6 +247,20 @@ def test_hexagon_mixed_modules():
 def test_braided_rmatrix_shape_validation():
     with pytest.raises(ValueError):
         BraidedRMatrix(3, Matrix.identity(4))
+    r = universal_r(S2)
+    for bad in (lambda: BraidedRMatrix(2),  # neither a matrix nor a source
+                lambda: BraidedRMatrix(2, flip_operator(2), r),  # both
+                lambda: BraidedRMatrix(3, source=r),  # a source of another dimension
+                lambda: BraidedRMatrix(2, source=leg_embedding(r, 3, (0, 1))),  # three legs
+                lambda: braided_r(GroupSpec((3,)), r)):  # a source over another spec
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_braided_r_builds_its_matrix_on_first_read(braiding_builds):
+    gate = braided_r(S2)
+    assert gate.source == universal_r(S2) and not braiding_builds
+    assert gate.matrix is gate.matrix and len(braiding_builds) == 1
 
 
 # (orders, strands) of the word evaluations compared below

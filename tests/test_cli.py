@@ -416,6 +416,53 @@ def test_transform_guard_estimate():
         assert transform_cells(*unpriced) == 0, unpriced
 
 
+def test_source_path_is_priced_by_its_side_and_its_weights():
+    # R' lifted from r runs no d^4 certificate: the price is its monomial
+    # side, and that side times the phi(L) powers of zeta of each weight
+    assert matrix_entries(24, "braided-ybe", 3, "source") == 24 ** 3
+    assert transform_cells(24, "braided-ybe", "source") == 24 ** 3 * 8  # phi(24)
+    assert transform_cells(16, "braid", "source", 4) == 16 ** 4 * 8 <= MAX_TRANSFORM_CELLS
+    # the product form of 2,2,2,2 lives over Q(zeta_2), its fused form over Q(zeta_16)
+    assert transform_cells(16, "braid", "source", 4, order=2) == 16 ** 4
+    assert transform_cells(64, "hexagon", "source") == 64 ** 3 * 32
+    # the algebra-level checks keep their transform price on the source path
+    assert transform_cells(24, "ybe", "source") == 24 ** 4
+    for admitted in [(2, "hexagon", 3), (24, "braided-ybe", 3), (24, "hexagon", 3),
+                     (32, "braided-ybe", 3), (16, "braid", 4), (6, "braid", 5), (2, "braid", 18)]:
+        assert matrix_entries(*admitted, "source") <= MAX_MATRIX_ENTRIES, admitted
+        assert transform_cells(admitted[0], admitted[1], "source", admitted[2]) \
+            <= MAX_TRANSFORM_CELLS, admitted
+    # what the monomial path refuses stays refused, by its side or by its cells
+    for refused in [(64, "braided-ybe", 3), (64, "hexagon", 3), (600, "braided-ybe", 3),
+                    (10 ** 12, "braided-ybe", 3), (2, "braid", 19), (2, "braid", 30),
+                    (3, "braid", 12), (6, "braid", 8), (2, "braid", 10 ** 12)]:
+        d, which, strands = refused
+        assert matrix_entries(*refused, "monomial") > MAX_MATRIX_ENTRIES
+        assert (matrix_entries(*refused, "source") > MAX_MATRIX_ENTRIES
+                or transform_cells(d, which, "source", strands) > MAX_TRANSFORM_CELLS), refused
+
+
+def test_check_all_at_order_24_runs_from_the_source_of_r_prime():
+    # the d^4 = 331,776-entry certificate refused it; R' lifted from r holds
+    # 24^3 weights over Q(zeta_24)
+    start = time.perf_counter()
+    done = _check_in_subprocess("--orders", "24", "--which", "all", timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 0, done.stderr
+    assert "result: 8 checks, 8 pass, 0 fail, 0 recorded" in done.stdout
+
+
+def test_braided_ybe_at_order_64_is_refused_by_its_weight_cells(capsys):
+    args = ("--orders", "64", "--which", "braided-ybe")
+    error = ("error: check --which braided-ybe would transform 8388608 integer cells, "
+             "above the limit of 524288\n")
+    done = _check_in_subprocess(*args, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+    start = time.perf_counter()
+    assert run(capsys, "check", *args) == (2, "", error)
+    assert time.perf_counter() - start < 1.0
+
+
 def _check_in_subprocess(*args, timeout):
     # a subprocess, so a hang shows as a timeout, not as a stalled suite
     src = str(Path(hopfbraid.__file__).resolve().parents[1])
@@ -646,13 +693,20 @@ def test_each_choice_reports_its_slice_of_the_all_report(capsys, backend):
 
 
 def test_check_all_builds_the_braiding_once_per_module_pair(capsys, braiding_builds):
-    # R' once, read by the braided checks, the module morphism and the
-    # hexagon, which on three regular modules is R''s braid relation
-    assert run(capsys, "check", "--orders", "4", "--which", "all")[0] == 0
-    assert len(braiding_builds) == 1
-    braiding_builds.clear()
-    assert run(capsys, "check", "--orders", "4", "--which", "hexagon")[0] == 0
-    assert len(braiding_builds) == 1
+    # R' is held once, as its source r, and read by the braided checks, the
+    # module morphism and the hexagon (on three regular modules R''s braid
+    # relation); the monomial and the float lifts build no dense R'
+    for backend in ("exact", "float"):
+        for which in ("all", "hexagon"):
+            assert run(capsys, "check", "--orders", "4", "--which", which,
+                       "--backend", backend)[0] == 0
+            assert not braiding_builds, (backend, which)
+        # bell-actions (d = 2) reads the dense R' on the integer backend, once
+        code, out, _ = run(capsys, "check", "--orders", "2", "--which", "all",
+                           "--backend", backend)
+        assert code == 0 and "check bell-actions: pass" in out
+        assert len(braiding_builds) == (1 if backend == "exact" else 0), backend
+        braiding_builds.clear()
 
 
 @pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])

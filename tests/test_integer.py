@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -117,6 +118,56 @@ def test_each_integer_type_is_reached_and_exact(monkeypatch):
         assert chosen[-1] is dtype, scale
         assert product.to_matrix() == a @ a
         assert product == lifted(a @ a)
+
+
+def _reference_lift(rows: int, cols: int, entries) -> IntegerMatrix:
+    """IntegerMatrix.from_entries as one Python loop over the nonzero
+    numerators: the reference for its vectorised lift."""
+    entries = [(i, v) for i, v in entries if not v.is_zero]
+    big = lcm(*(v.order for _, v in entries))
+    den = lcm(*(v.den for _, v in entries))
+    cells, powers, ints = [], [], []
+    for i, v in entries:
+        step, scale_v = big // v.order, den // v.den
+        for k, x in enumerate(v.nums):
+            if x:
+                cells.append(i)
+                powers.append(k * step)
+                ints.append(x * scale_v)
+    bound = max(map(abs, ints), default=0) * big * linalg._residue_table(big)[1]
+    dtype = linalg._exact_dtype(bound)
+    arr = np.zeros((big, rows * cols), dtype=dtype)
+    arr[powers, cells] = np.array(ints, dtype=dtype)
+    return IntegerMatrix(big, linalg._reduce(arr, big).reshape(-1, rows, cols), den)
+
+
+def _same_arrays(a: IntegerMatrix, b: IntegerMatrix) -> bool:
+    return (a.order, a.den, a.nums.dtype) == (b.order, b.den, b.nums.dtype) \
+        and np.array_equal(a.nums, b.nums)
+
+
+# numerator scales up to 2^62, so the lift's own array (before the product
+# bounds) reaches Python integers too
+@given(st.sampled_from((1, 2 ** 40, 2 ** 62)).flatmap(lambda scale: matrices(scale=scale)),
+       st.data())
+def test_lift_matches_the_loop_reference(a, data):
+    assert _same_arrays(lifted(a), _reference_lift(a.rows, a.cols, enumerate(a.entries)))
+    # sparse pairs in any order, some of them zeros of another order
+    cells = data.draw(st.permutations(range(len(a.entries))))
+    pairs = [(i, a.entries[i] if i % 2 else CyclotomicNumber(8, (0,) * 4)) for i in cells]
+    assert _same_arrays(IntegerMatrix.from_entries(a.rows, a.cols, pairs),
+                        _reference_lift(a.rows, a.cols, pairs))
+
+
+def test_lift_of_large_numerators_and_denominators_matches_the_loop_reference():
+    # Python integers in the numerators, in the denominators, and in their product
+    for big in (2 ** 40, 2 ** 62, 2 ** 70):
+        m = Matrix(2, 2, [CyclotomicNumber(4, (Fraction(big + 1, 3), Fraction(-big, 7))),
+                          CyclotomicNumber(3, (Fraction(1, big + 5), 2)),
+                          CyclotomicNumber(1, (0,)), root_of_unity(12, 5)])
+        assert _same_arrays(lifted(m), _reference_lift(2, 2, enumerate(m.entries))), big
+        assert lifted(m).to_matrix() == m
+    assert lifted(m).nums.dtype == object
 
 
 def test_zero_and_identity():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,52 @@ def test_a_failed_obligation_stops_the_backend(monkeypatch):
                         lambda self, exps: on_basis(self, tuple(-e for e in exps)))
     with pytest.raises(ArithmeticError):
         MonomialOps(GroupSpec((3,)))
+
+
+# -- R' lifted from its source ------------------------------------------------
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", specs_up_to(8), ids=lambda s: ",".join(map(str, s.orders)))
+def test_source_lift_equals_the_lift_of_the_dense_r_prime(spec, form, braiding_builds):
+    r = form(spec)
+    reg = regular_representation(spec)
+    dense = braiding_map(reg, reg, r)  # this module's own name: not counted
+    gate = braided_r(spec, r)
+    ops = MonomialOps(spec)
+    lifted, certified = ops.braided(gate), ops.matrix(dense)
+    assert lifted.perm == certified.perm and lifted.weights == certified.weights
+    scattered = floatback.NumpyOps().braided(gate)
+    assert np.max(np.abs(scattered - floatback.matrix_complex(dense))) <= 1e-12
+    assert not braiding_builds  # neither lift built the dense R'
+    assert gate.matrix == dense and len(braiding_builds) == 1
+
+
+@pytest.mark.parametrize("spec", specs_up_to(4), ids=lambda s: ",".join(map(str, s.orders)))
+def test_source_lifts_of_an_element_not_symmetric_in_its_legs(spec):
+    # R and its fused form are symmetric in their legs, so they cannot tell
+    # the flip's two legs apart
+    basis = list(spec.basis())
+    r = TensorElement.from_terms(spec, 2, [((a, b), 1 + i + 3 * j * j) for i, a in enumerate(basis)
+                                           for j, b in enumerate(basis)])
+    reg = regular_representation(spec)
+    dense = braiding_map(reg, reg, r)
+    gate = BraidedRMatrix(spec.dimension, source=r)
+    f = _character_basis(spec, 2)
+    assert dense @ f == f @ MonomialOps(spec).braided(gate).to_matrix()
+    scattered = floatback.NumpyOps().braided(gate)
+    assert np.max(np.abs(scattered - floatback.matrix_complex(dense))) <= 1e-12
+
+
+def test_matrices_without_a_source_are_certified():
+    spec = GroupSpec((2, 2))
+    ops = MonomialOps(spec)
+    dense = braided_r(spec).matrix
+    assert ops.braided(BraidedRMatrix(4, dense)) is ops.matrix(dense)
+    # a source over another spec of the same dimension is certified in this
+    # spec's character basis
+    other = braided_r(GroupSpec((4,)))
+    assert ops.braided(other) is ops.matrix(other.matrix)
 
 
 def test_non_monomial_matrices_are_refused():
