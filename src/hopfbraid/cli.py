@@ -106,7 +106,8 @@ class Choice(NamedTuple):
 
 
 # The --which choices in the order "all" runs them.  The checkers are looked
-# up when they run, so a wrapper installed on this module's names sees them.
+# up when they run, so a wrapper installed on this module's names sees them;
+# a braid relation reported in several rows is decided once (_Inputs.relations).
 CHOICES = {
     "hopf": Choice((
         Check("hopf-axioms", "coassociativity, counit laws, antipode law on the group-like basis",
@@ -124,19 +125,19 @@ CHOICES = {
     ), monomial=True),
     "braided-ybe": Choice((
         Check("braided-ybe", "(R' x I)(I x R')(R' x I) = (I x R')(R' x I)(I x R')",
-              "R'", lambda x, ops: check_braid_relations(3, x.braided, ops)),
+              "R'", lambda x, ops: x.relations(3, x.braided, ops)),
     ), legs=3, monomial=True),
     "braid": Choice((
         Check("braid-relations-{strands}",
               "far commutation and adjacent braid relations on {strands} strands",
-              "R'", lambda x, ops: check_braid_relations(x.strands, x.braided, ops)),
+              "R'", lambda x, ops: x.relations(x.strands, x.braided, ops)),
     ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
               "module", lambda x, ops: check_module_morphism(x.own, x.module, x.module, ops)),
         # on three copies of one module the hexagon is the braid relation of R' (Kassel, XIII)
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
-              "module", lambda x, ops: check_braid_relations(3, x.own, ops)),
+              "module", lambda x, ops: x.relations(3, x.own, ops)),
     ), legs=3, monomial=True),
     "bell-actions": Choice((
         Check("bell-actions",
@@ -407,6 +408,10 @@ class _Inputs:
     def module(self) -> ModuleAction:
         return ModuleAction.regular(self.spec)
 
+    @cached_property
+    def relations(self):  # one check_braid_relations verdict per (strands, R', ops)
+        return cache(lambda strands, b, ops: check_braid_relations(strands, b, ops))
+
 
 def cmd_check(args, argv) -> int:
     # inf passes every float comparison, and nan or a negative value fails them all
@@ -423,6 +428,8 @@ def cmd_check(args, argv) -> int:
             data = json.loads(Path(args.r_matrix).read_text())
         except RecursionError:
             raise ValueError(f"{args.r_matrix} is nested too deeply to be a matrix") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{args.r_matrix} is not JSON: {exc}") from None
         m = matrix_from_json(data)
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:
@@ -431,24 +438,24 @@ def cmd_check(args, argv) -> int:
 
     def plan(which):
         """(local dimension, path).  MonomialOps runs only at the spec's d: it
-        certifies the --r-matrix file's R' ("monomial") and lifts everything
-        else from r ("source")."""
+        lifts everything from r ("source") but the --r-matrix file's R', which
+        it certifies once before any check runs ("monomial"; else "dense")."""
         choice = CHOICES[which]
         imported = external is not None and choice.on_r_prime
         side = external.dimension if imported else d
         return side, ("float" if use_float else "dense" if not choice.monomial or side != d
                       else "monomial" if imported else "source")
 
-    selected = [w for w, choice in CHOICES.items()
-                if args.which in ("all", w) and choice.requires_d in (None, plan(w)[0])]
+    plans = {w: plan(w) for w in CHOICES if args.which in ("all", w)}
+    selected = [w for w, (side, _) in plans.items() if CHOICES[w].requires_d in (None, side)]
     if not selected:
-        need, side = CHOICES[args.which].requires_d, plan(args.which)[0]
+        need, side = CHOICES[args.which].requires_d, plans[args.which][0]
         raise ValueError(f"{args.which} requires local dimension {need}, not {side}")
 
     # the field of R's character-basis diagonal: the fused form's is Q(zeta_d)
     weight_order = spec.field_order if args.form == "product" else d
     for which in selected:
-        side, path = plan(which)
+        side, path = plans[which]
         if CHOICES[which].legs == STRANDS:
             _admit_strands(args.strands, f"check --which {which}")
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
@@ -458,24 +465,24 @@ def cmd_check(args, argv) -> int:
     inputs = _Inputs(spec, args, external)
     # every dense exact verdict runs on integer arrays; EXACT stays the oracle
     ops = floatback.NumpyOps(args.tolerance) if use_float else INTEGER
-    monomial = MonomialOps(spec) if any(plan(w)[1] in MONOMIAL for w in selected) else None
-
-    def verdict(which, check):
-        side, path = plan(which)
-        if path in MONOMIAL:
-            try:
-                return check.decide(inputs, monomial)
-            except NotMonomialError:
-                # no certificate: the dense path decides
-                _admit(matrix_entries(side, which, args.strands, "dense"),
+    monomial = MonomialOps(spec) if any(plans[w][1] in MONOMIAL for w in selected) else None
+    certified = [w for w in selected if plans[w][1] == "monomial"]
+    if certified:
+        try:
+            monomial.braided(external)  # the certificate, kept in monomial's cache
+        except NotMonomialError:
+            # no certificate: the dense path decides, if the guard admits it
+            for which in certified:
+                plans[which] = d, "dense"
+                _admit(matrix_entries(d, which, args.strands, "dense"),
                        f"check --which {which} without a monomial certificate")
-        return check.decide(inputs, ops)
 
     detail = f"float backend, tolerance {args.tolerance:g}" if use_float else ""
     for which in selected:
+        backend = monomial if plans[which][1] in MONOMIAL else ops
         for check in CHOICES[which].checks:
             t0 = time.perf_counter()
-            status, note = ("pass" if verdict(which, check) else "fail"), detail
+            status, note = ("pass" if check.decide(inputs, backend) else "fail"), detail
             seconds = time.perf_counter() - t0
             if args.form == "fused" and check.on != "spec":
                 status, note = "recorded", "; ".join(filter(None, [f"result: {status}", detail]))
@@ -609,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "invertibility floor: the smallest singular value must exceed it")
     chk.add_argument("--timings", action="store_true",
                      help="include wall times (off by default so reports are "
-                          "byte-for-byte reproducible)")
+                          "byte-for-byte reproducible); a verdict shared by several "
+                          "rows is timed on its first")
     _add_common(chk)
     chk.set_defaults(func=cmd_check)
 

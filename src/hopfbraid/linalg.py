@@ -31,11 +31,11 @@ and every braiding map (braidrep) is the matrix of a tensor element
 acting on a tensor product of modules.  ``apply_on_qudits`` places
 every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
 ``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``_transform``
-is the one change to the character basis: a product by a character table
-on each axis, for the diagonals and certificates of MonomialOps and for
-``character_transform``.  ``IntegerMatrix.from_entries`` is the one lift
-of values to integer terms over the powers of zeta_L, ``_reduce`` the one
-reduction of such vectors by the residue table and
+is the one change to the character basis: a product on each axis by a
+basis that MonomialOps has checked, for its diagonals and certificates;
+no transform runs on an unchecked basis.  ``IntegerMatrix.from_entries``
+is the one lift of values to integer terms over the powers of zeta_L,
+``_reduce`` the one reduction of such vectors by the residue table and
 ``IntegerMatrix._combine`` the one product of integer arrays; the
 transform, IntegerMatrix and MonomialMatrix share them.
 ``scalar._row_reduce`` is the one elimination: inverse, rank and field
@@ -476,26 +476,6 @@ def _transform(x: "IntegerMatrix", bases, scale: int = 1) -> "IntegerMatrix":
         n = b.cols
         x = b._combine(x, lambda f, v: (f @ v.reshape(n, -1)).T, (rows * cols // n, n), n)
     return IntegerMatrix(x.order, x.nums.reshape(-1, rows, cols), x.den * scale)
-
-
-def character_transform(shape, signs, entries, scale: int = 1) -> list[CyclotomicNumber]:
-    """The separable character transform of a sparse coefficient array, exactly.
-
-    ``entries`` holds (flat index, value) pairs of an array of the given
-    shape, one axis per cyclic factor, row-major (so a composite index puts
-    its first factor in the most significant position); missing entries
-    are 0.  Returns, in the same order, the entries
-
-        out[c] = (1/scale) * sum_a in[a] * prod_x zeta_(n_x)^(signs[x] a_x c_x),
-
-    the product by conj(F)^T on each axis of sign -1 and by F^T on each axis
-    of sign +1, F = character_basis(n_x); MonomialOps runs the same
-    products by the character basis of its spec.
-    """
-    bases = [IntegerMatrix.from_matrix(f.conjugate_transpose() if sign < 0 else f.transpose())
-             for f, sign in zip(map(character_basis, shape), signs)]
-    x = IntegerMatrix.from_entries(1, prod(shape), entries)
-    return _transform(x, bases, scale).to_matrix().entries
 
 
 # -- integer arrays over the powers of zeta_L -------------------------------

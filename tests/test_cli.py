@@ -359,6 +359,19 @@ def test_r_matrix_with_a_non_integer_shape_exits_two(tmp_path, capsys, shape):
     assert err.startswith("error: matrix JSON needs integer") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe", b'{"rows": 1, "cols": '],
+                         ids=["empty", "not-utf8", "truncated"])
+def test_r_matrix_that_is_not_json_names_the_file(tmp_path, capsys, content):
+    # the decoder's message alone, such as "Expecting value: line 1 column 1
+    # (char 0)" or a bare codec error, did not say which file it was about
+    path = tmp_path / "r.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", "--orders", "2", "--which", "braided-ybe",
+                         "--r-matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not JSON: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
 def test_tolerance_that_decides_nothing_exits_two(capsys, tolerance):
     # inf passed a wrong R' on the float backend; nan and -1 failed every check
@@ -666,6 +679,24 @@ def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path,
     assert "without a monomial certificate" in err and err.count("\n") == 1
 
 
+def test_uncertified_matrix_is_refused_before_any_check_runs(monkeypatch, tmp_path, capsys):
+    # the certificate is taken while planning, so the dense fallback of
+    # braid is priced, and refused, before hopf (the first check) runs
+    def refuse(*args):
+        raise AssertionError("a check ran before every choice was admitted")
+
+    monkeypatch.setattr(cli, "check_hopf_axioms", refuse)
+    sheared = Matrix.identity(36)
+    sheared.entries[1] = sheared.entries[0]
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(matrix_to_json(sheared)))
+    code, out, err = run(capsys, "check", "--orders", "6", "--which", "all",
+                         "--strands", "5", "--r-matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: check --which braid without a monomial certificate")
+    assert err.count("\n") == 1
+
+
 def test_size_guard_estimate_stays_cheap_for_huge_strand_counts():
     assert matrix_entries(2, "braid", 10 ** 12, "monomial") > MAX_MATRIX_ENTRIES
     assert matrix_entries(1, "braid", 10 ** 12, "dense") == 1
@@ -707,6 +738,36 @@ def test_check_all_builds_the_braiding_once_per_module_pair(capsys, braiding_bui
         assert code == 0 and "check bell-actions: pass" in out
         assert len(braiding_builds) == (1 if backend == "exact" else 0), backend
         braiding_builds.clear()
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_braid_relation_reported_in_several_rows_is_decided_once(monkeypatch, tmp_path,
+                                                                   capsys):
+    # braided-ybe, braid-relations-3 and the hexagon are one relation on one
+    # R'; each used to decide it again
+    calls = _counted(monkeypatch, cli, "check_braid_relations")
+    for backend in ("exact", "float"):
+        code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "all",
+                           "--backend", backend)
+        assert code == 0 and "8 pass" in out
+        assert len(calls) == 1, backend
+        calls.clear()
+    # a file's R' is another matrix: its rows share one verdict, the hexagon another
+    r_matrix = _gen_r_file(capsys, tmp_path, "2,2")
+    code, _, _ = run(capsys, "check", "--orders", "2,2", "--which", "all",
+                     "--r-matrix", r_matrix)
+    assert code == 0 and len(calls) == 2
 
 
 @pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])

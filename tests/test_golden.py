@@ -165,3 +165,17 @@ def test_imported_r_matrix_and_own_braiding_split_the_report(tmp_path, capsys):
     # braided-ybe and braid-relations-3 read the file's R' and fail; the
     # module morphism and the hexagon braid with the spec's own R' and pass
     _changed_r_matrix_matches_golden("all", "check_22_all_split_r_matrix", tmp_path, capsys)
+
+
+def test_the_file_certificate_is_taken_once_per_command(monkeypatch, tmp_path, capsys):
+    # braided-ybe and braid-relations-3 each took the failing certificate again
+    calls, certify = [], MonomialOps._certify
+
+    def counted(ops, m):
+        calls.append(m.rows)
+        return certify(ops, m)
+
+    monkeypatch.setattr(MonomialOps, "_certify", counted)
+    _changed_r_matrix_matches_golden("all", "check_22_all_split_r_matrix", tmp_path, capsys)
+    # one command per report: the text and the json
+    assert calls.count(16) == 2
