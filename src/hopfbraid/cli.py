@@ -24,7 +24,7 @@ import re
 import sys
 import time
 from collections import Counter
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -33,10 +33,8 @@ from . import floatback
 from .braidrep import (
     BraidedRMatrix,
     BraidWord,
-    ModuleAction,
     braided_r,
     check_braid_relations,
-    check_module_morphism,
     evaluate_braid_word,
 )
 from .groupalg import (
@@ -72,7 +70,7 @@ from .quantum import (
     kauffman_lomonaco_r,
     schmidt_rank,
 )
-from .scalar import _degree
+from .scalar import MAX_JSON_ORDER, _degree
 
 STRANDS = "strands"  # legs of a choice whose largest matrix acts on --strands strands
 MONOMIAL = ("monomial", "source")  # the planned paths that run on MonomialOps
@@ -80,8 +78,9 @@ MONOMIAL = ("monomial", "source")  # the planned paths that run on MonomialOps
 
 class Check(NamedTuple):
     """One reported identity: ``decide(inputs, ops)`` applies its checker to
-    what ``on`` names (the spec, r, R' or the regular module).  In the fused
-    form every check not on the spec alone is "recorded"."""
+    what ``on`` names: the spec, r, R' (the --r-matrix file's, if given) or
+    own (the spec's R').  In the fused form every check not on the spec
+    alone is "recorded"."""
 
     name: str
     anchor: str
@@ -107,7 +106,8 @@ class Choice(NamedTuple):
 
 # The --which choices in the order "all" runs them.  The checkers are looked
 # up when they run, so a wrapper installed on this module's names sees them;
-# a braid relation reported in several rows is decided once (_Inputs.relations).
+# a verdict reported in several rows is decided once per backend: a braid
+# relation (_Inputs.relations) and quasi-cocommutativity (_Inputs.quasi).
 CHOICES = {
     "hopf": Choice((
         Check("hopf-axioms", "coassociativity, counit laws, antipode law on the group-like basis",
@@ -115,7 +115,7 @@ CHOICES = {
     )),
     "quasitriangular": Choice((
         Check("quasi-cocommutativity", "Dop(x) R = R D(x) for every basis element x",
-              "r", lambda x, ops: check_quasi_cocommutative(x.spec, x.r, ops)),
+              "r", lambda x, ops: x.quasi(ops)),
         Check("quasitriangular-coproducts", "(D x id)(R) = R13 R23 and (id x D)(R) = R13 R12",
               "r", lambda x, ops: check_quasitriangular(x.spec, x.r, ops)),
     ), monomial=True),
@@ -133,11 +133,12 @@ CHOICES = {
               "R'", lambda x, ops: x.relations(x.strands, x.braided, ops)),
     ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
+        # the braiding intertwines iff r quasi-cocommutes, as rho x rho is faithful (Kassel, VIII)
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
-              "module", lambda x, ops: check_module_morphism(x.own, x.module, x.module, ops)),
+              "own", lambda x, ops: x.quasi(ops) and ops.invertible(ops.braided(x.own))),
         # on three copies of one module the hexagon is the braid relation of R' (Kassel, XIII)
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
-              "module", lambda x, ops: x.relations(3, x.own, ops)),
+              "own", lambda x, ops: x.relations(3, x.own, ops)),
     ), legs=3, monomial=True),
     "bell-actions": Choice((
         Check("bell-actions",
@@ -164,6 +165,9 @@ MAX_TENSOR_WORK = 1 << 21
 MAX_STRANDS = 64
 # ... and no more cyclic factors than this: order-1 factors raise no estimate above.
 MAX_FACTORS = 64
+# ... and no products on an --r-matrix file's R' of more than this many cell
+# operations (field_work: about a second of them).
+MAX_FIELD_WORK = 1 << 30
 
 
 def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
@@ -206,6 +210,21 @@ def transform_cells(d: int, which: str, path: str, strands: int = 3,
     return side * (_degree(order) if side <= MAX_MATRIX_ENTRIES else order)
 
 
+def field_work(d: int, which: str, strands: int, path: str, order: int) -> int:
+    """Cost estimate, in cell operations, of the products a check takes on
+    an --r-matrix file's R' on the monomial or dense path, order the lcm of
+    the orders of the values multiplied (the file's, and on the monomial
+    path also the character basis's).  IntegerMatrix multiplies each of the
+    phi(order)^2 pairs of the factors' power slots by one numpy product,
+    which costs about as much as 2048 cells plus the matrix_entries it
+    holds, and a check on N legs takes about N^2 products."""
+    legs = CHOICES[which].legs
+    legs = min(strands if legs == STRANDS else legs, 64)
+    # an order above the JSON limit stands in for its phi, as in transform_cells
+    phi = _degree(order) if order <= MAX_JSON_ORDER else order
+    return legs * legs * phi * phi * (matrix_entries(d, which, strands, path) + 2048)
+
+
 def tensor_work(d: int, which: str, path: str) -> int:
     """Cost estimate of the exact hopf check in tensor-element operations:
     each of the d basis elements takes about 25 coproducts, counits,
@@ -243,7 +262,7 @@ def _admit_strands(strands: int, what: str):
 
 
 def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: int = 0,
-           fft: bool = False):
+           fft: bool = False, field_ops: int = 0):
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{what} would build a matrix of {entries} entries, above the "
                          f"limit of {MAX_MATRIX_ENTRIES}")
@@ -257,6 +276,9 @@ def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: i
     if tensor_ops > MAX_TENSOR_WORK:
         raise ValueError(f"{what} would take about {tensor_ops} tensor-element operations, "
                          f"above the limit of {MAX_TENSOR_WORK}")
+    if field_ops > MAX_FIELD_WORK:
+        raise ValueError(f"{what} would take about {field_ops} cell operations over the "
+                         f"field of the --r-matrix file, above the limit of {MAX_FIELD_WORK}")
 
 
 class Report:
@@ -387,7 +409,9 @@ class _Inputs:
     ``own`` is the spec's R', held as its source r, so a backend that lifts
     from r builds no dense matrix for it; the braided checks read
     ``braided``: the --r-matrix file's R', else ``own``.
-    The module morphism and the hexagon always read ``own``."""
+    The module morphism and the hexagon always read ``own``.  ``relations``
+    and ``quasi`` keep one verdict per backend; neither refers back to the
+    inputs, so a command's backends are freed when it returns."""
 
     def __init__(self, spec: GroupSpec, args, external: BraidedRMatrix | None):
         self.spec, self.form, self.strands, self.external = spec, args.form, args.strands, external
@@ -405,12 +429,13 @@ class _Inputs:
         return self.external if self.external is not None else self.own
 
     @cached_property
-    def module(self) -> ModuleAction:
-        return ModuleAction.regular(self.spec)
-
-    @cached_property
     def relations(self):  # one check_braid_relations verdict per (strands, R', ops)
         return cache(lambda strands, b, ops: check_braid_relations(strands, b, ops))
+
+    @cached_property
+    def quasi(self):  # one check_quasi_cocommutative verdict per ops
+        return cache(partial(lambda spec, r, ops: check_quasi_cocommutative(spec, r, ops),
+                             self.spec, self.r))
 
 
 def cmd_check(args, argv) -> int:
@@ -422,7 +447,7 @@ def cmd_check(args, argv) -> int:
     report = Report(" ".join(argv), args.backend, args.timings)
     use_float = args.backend == "float"
 
-    external = None
+    external, file_order = None, 1
     if args.r_matrix:
         try:
             data = json.loads(Path(args.r_matrix).read_text())
@@ -434,6 +459,11 @@ def cmd_check(args, argv) -> int:
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:
             raise ValueError("imported matrix is not d^2 x d^2")
+        # every exact path lifts the nonzero entries to Q(zeta_L), L the lcm of their orders
+        file_order = math.lcm(*{e.order for e in m.entries if e})
+        if file_order > MAX_JSON_ORDER:
+            raise ValueError(f"{args.r_matrix} holds entries whose orders have lcm {file_order}, "
+                             f"above the limit of {MAX_JSON_ORDER}")
         external = BraidedRMatrix(side, m)
 
     def plan(which):
@@ -445,6 +475,14 @@ def cmd_check(args, argv) -> int:
         side = external.dimension if imported else d
         return side, ("float" if use_float else "dense" if not choice.monomial or side != d
                       else "monomial" if imported else "source")
+
+    def file_work(which, side, path):
+        """field_work of a check that multiplies the file's R', else 0; the
+        certificate multiplies it by the character basis, over the spec's field."""
+        if external is None or not CHOICES[which].on_r_prime or path not in ("monomial", "dense"):
+            return 0
+        order = file_order if path == "dense" else math.lcm(file_order, spec.field_order)
+        return field_work(side, which, args.strands, path, order)
 
     plans = {w: plan(w) for w in CHOICES if args.which in ("all", w)}
     selected = [w for w, (side, _) in plans.items() if CHOICES[w].requires_d in (None, side)]
@@ -460,7 +498,8 @@ def cmd_check(args, argv) -> int:
             _admit_strands(args.strands, f"check --which {which}")
         _admit(matrix_entries(side, which, args.strands, path), f"check --which {which}",
                transform_cells(side, which, path, args.strands, weight_order),
-               tensor_ops=tensor_work(side, which, path), fft=path == "float")
+               tensor_ops=tensor_work(side, which, path), fft=path == "float",
+               field_ops=file_work(which, side, path))
 
     inputs = _Inputs(spec, args, external)
     # every dense exact verdict runs on integer arrays; EXACT stays the oracle
@@ -475,7 +514,8 @@ def cmd_check(args, argv) -> int:
             for which in certified:
                 plans[which] = d, "dense"
                 _admit(matrix_entries(d, which, args.strands, "dense"),
-                       f"check --which {which} without a monomial certificate")
+                       f"check --which {which} without a monomial certificate",
+                       field_ops=file_work(which, d, "dense"))
 
     detail = f"float backend, tolerance {args.tolerance:g}" if use_float else ""
     for which in selected:

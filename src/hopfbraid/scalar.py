@@ -126,6 +126,14 @@ def _from_powers(order: int, powers, den: int) -> "CyclotomicNumber":
     return _canonical(order, tuple(out), den)
 
 
+def _check_length(order: int, length: int):
+    """Raise ValueError unless order is positive and length is phi(order)."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    if length != _degree(order):
+        raise ValueError("coefficient vector length does not match the order")
+
+
 class CyclotomicNumber:
     """One element of Q(zeta_order): integer numerators ``nums`` over the
     power basis and one positive denominator ``den``, in canonical form."""
@@ -133,10 +141,7 @@ class CyclotomicNumber:
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        if len(coeffs) != _degree(order):
-            raise ValueError("coefficient vector length does not match the order")
+        _check_length(order, len(coeffs))
         if not all(isinstance(c, (int, Fraction)) for c in coeffs):
             raise TypeError("cyclotomic coefficients must be integers or Fractions")
         fracs = [Fraction(c) for c in coeffs]
@@ -375,11 +380,10 @@ class CyclotomicNumber:
         an order above MAX_JSON_ORDER."""
         try:
             order, pairs = data["order"], [tuple(pair) for pair in data["coeffs"]]
-            fields = [order, *(v for pair in pairs for v in pair)]
-            if any(type(v) is not int for v in fields) or any(len(p) != 2 for p in pairs):
+            if type(order) is not int or not all(
+                    len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] for p in pairs):
                 raise TypeError
-            coeffs = tuple(Fraction(n, d) for n, d in pairs)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        except (KeyError, TypeError):
             raise ValueError("cyclotomic number JSON needs an integer 'order' and "
                              "'coeffs' as [numerator, denominator] integer pairs "
                              "with nonzero denominators") from None
@@ -387,7 +391,11 @@ class CyclotomicNumber:
         if order > MAX_JSON_ORDER:
             raise ValueError(f"cyclotomic number JSON order {order} is above the limit "
                              f"of {MAX_JSON_ORDER}")
-        return cls(order, coeffs)
+        _check_length(order, len(pairs))
+        # the pairs over one common denominator, with no Fraction made; lcm is
+        # positive, and den // d takes the sign of d
+        den = lcm(*(d for _, d in pairs))
+        return _canonical(order, tuple(n * (den // d) for n, d in pairs), den)
 
     def __str__(self) -> str:
         if self.is_zero:

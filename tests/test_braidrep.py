@@ -20,12 +20,14 @@ from hopfbraid.braidrep import (
 )
 from hopfbraid.groupalg import (
     GroupSpec,
+    TensorElement,
+    check_quasi_cocommutative,
     leg_embedding,
     specs_up_to,
     universal_r,
     universal_r_fused_phase,
 )
-from hopfbraid.linalg import (Matrix, MonomialOps, conjugate_transpose, flip_operator,
+from hopfbraid.linalg import (EXACT, Matrix, MonomialOps, conjugate_transpose, flip_operator,
                               invert_matrix, kron, regular_representation)
 from hopfbraid.quantum import BELL_KINDS, StateVector, bell_state
 from hopfbraid.scalar import rational, root_of_unity
@@ -211,6 +213,25 @@ def test_check_module_morphism():
     reg3 = ModuleAction.regular(S3)
     assert check_module_morphism(braiding_map(reg3, reg3, universal_r(S3)), reg3, reg3)
     assert not check_module_morphism(Matrix.zeros(4, 4), reg2, reg2)
+
+
+def _braidings(spec):
+    # both forms of r, and r ((1 - g) (x) 1), whose braiding is singular
+    ident, g = spec.identity, spec.reduce((1,) + spec.identity[1:])
+    kernel = TensorElement.from_terms(spec, 2, [((ident, ident), 1), ((g, ident), -1)])
+    r = universal_r(spec)
+    return [("product", r), ("fused", universal_r_fused_phase(spec)), ("singular", r * kernel)]
+
+
+@pytest.mark.parametrize("spec", specs_up_to(8), ids=lambda s: ",".join(map(str, s.orders)))
+def test_module_morphism_is_quasi_cocommutativity_and_invertibility(spec):
+    # check decides the module morphism of R' this way: its braiding commutes
+    # with the diagonal action iff r quasi-cocommutes, as rho x rho is faithful
+    reg = ModuleAction.regular(spec)
+    for name, r in _braidings(spec):
+        gate = braided_r(spec, r).matrix
+        assert check_module_morphism(gate, reg, reg, EXACT) == \
+            (check_quasi_cocommutative(spec, r) and EXACT.invertible(gate)), name
 
 
 def test_check_hexagon_regular_triples():

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,9 @@ import pytest
 import hopfbraid
 from hopfbraid import braidrep, cli, scalar
 from hopfbraid.braidrep import BraidWord, braided_r, evaluate_braid_word
-from hopfbraid.cli import (CHOICES, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS, main,
-                           matrix_entries, transform_cells)
-from hopfbraid.groupalg import GroupSpec
+from hopfbraid.cli import (CHOICES, MAX_FIELD_WORK, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS,
+                           field_work, main, matrix_entries, transform_cells)
+from hopfbraid.groupalg import GroupSpec, specs_up_to
 from hopfbraid.linalg import Matrix, MonomialOps, matrix_from_json, matrix_to_json
 from hopfbraid.quantum import StateVector
 
@@ -629,6 +631,78 @@ def test_r_matrix_entry_of_a_huge_order_exits_two_quickly(tmp_path, capsys, orde
     assert time.perf_counter() - start < 1.0
 
 
+def test_r_matrix_entries_whose_orders_have_a_huge_lcm_exit_two_quickly(tmp_path, capsys):
+    # each order is below the JSON limit, but the lift to Q(zeta_L), L = 2039 * 2027,
+    # built cyclotomic tables of order 4,133,053 and ran out of time, then of memory
+    one, zero = {"order": 1, "coeffs": [[1, 1]]}, {"order": 1, "coeffs": [[0, 1]]}
+    entries = [one if i in (6, 9) else zero for i in range(16)]
+    entries[0], entries[15] = _root_json(2039), _root_json(2027)
+    path = _write_r_matrix(tmp_path, {"rows": 4, "cols": 4, "entries": entries})
+    args = ("--orders", "2", "--which", "braided-ybe", "--r-matrix", path)
+    error = (f"error: {path} holds entries whose orders have lcm 4133053, above the limit "
+             f"of {scalar.MAX_JSON_ORDER}\n")
+    done = _check_in_subprocess(*args, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+    start = time.perf_counter()
+    assert run(capsys, "check", *args) == (2, "", error)
+    assert time.perf_counter() - start < 1.0
+
+
+def _root_json(order, power=1):
+    deg = len(scalar.cyclotomic_polynomial(order)) - 1
+    return {"order": order, "coeffs": [[int(k == power), 1] for k in range(deg)]}
+
+
+def _field_2048_files(tmp_path):
+    # R' over Q(zeta_2048): a dense file, which has no certificate, and the flip
+    # with the phases zeta^1, zeta^3, zeta^5, zeta^7, which certifies
+    zero = {"order": 1, "coeffs": [[0, 1]]}
+    dense = {"rows": 4, "cols": 4, "entries": [{"order": 2048, "coeffs": [[1, 1]] * 1024}] * 16}
+    phases = [zero] * 16
+    for cell, power in zip((0, 6, 9, 15), (1, 3, 5, 7)):
+        phases[cell] = _root_json(2048, power)
+    out = []
+    for name, payload in (("dense", dense), ("phase", {"rows": 4, "cols": 4, "entries": phases})):
+        path = tmp_path / f"{name}2048.json"
+        path.write_text(json.dumps(payload))
+        out.append(str(path))
+    return out
+
+
+def test_r_matrix_over_a_large_field_is_priced_by_it(tmp_path, capsys):
+    # one numpy product per pair of the 1024 power slots: braided-ybe on the
+    # dense file took 17 s, its 4-strand braid relations 46 s, and the phase
+    # file's 6-strand ones 13 s
+    files = _field_2048_files(tmp_path)
+    done = _check_in_subprocess("--orders", "2", "--which", "braided-ybe", "--r-matrix",
+                                files[0], timeout=10)
+    assert done.returncode == 2 and done.stdout == "" and done.stderr.count("\n") == 1
+    for path in files:
+        for which in (("braided-ybe",), *(("braid", "--strands", str(n)) for n in range(4, 10))):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check", "--orders", "2", "--which", *which,
+                                 "--r-matrix", path)
+            assert (code, out) == (2, ""), which
+            assert time.perf_counter() - start < 1.0, which
+            assert err.startswith(f"error: check --which {which[0]} would take about")
+            assert "over the field of the --r-matrix file" in err and err.count("\n") == 1
+
+
+def test_field_price_admits_the_files_in_use():
+    # every ADMITTED check on R', over the largest field of its local dimension
+    for d, which, strands, path in ADMITTED:
+        if which in CHOICES and CHOICES[which].on_r_prime and path in ("monomial", "dense"):
+            assert field_work(d, which, strands, path, d) <= MAX_FIELD_WORK, (d, which)
+    # gen-r's R' for every spec with d <= 16, either form, over at most Q(zeta_d)
+    for spec in specs_up_to(16):
+        d = spec.dimension
+        for which in ("braided-ybe", "braid", "bell-actions"):
+            assert field_work(d, which, 3, "monomial", d) <= MAX_FIELD_WORK, (d, which)
+    # and a field of order 2048 at d = 2 is refused on either path
+    for path in ("monomial", "dense"):
+        assert field_work(2, "braided-ybe", 3, path, 2048) > MAX_FIELD_WORK
+
+
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 def test_deeply_nested_r_matrix_exits_two_quickly(tmp_path, capsys, closed):
     # the JSON decoder recursed until a RecursionError traceback, exit 1
@@ -768,6 +842,44 @@ def test_a_braid_relation_reported_in_several_rows_is_decided_once(monkeypatch, 
     code, _, _ = run(capsys, "check", "--orders", "2,2", "--which", "all",
                      "--r-matrix", r_matrix)
     assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("orders", ["2", "4", "2,2", "6"])
+def test_check_without_a_file_takes_no_certificate(monkeypatch, capsys, orders):
+    # the module morphism certified the d regular images rho(g) on every command
+    calls = _counted(monkeypatch, MonomialOps, "_certify")
+    code, out, _ = run(capsys, "check", "--orders", orders, "--which", "all")
+    assert code == 0 and " 0 fail" in out
+    assert calls == []
+
+
+def test_module_morphism_reads_the_quasi_cocommutativity_verdict(monkeypatch, capsys):
+    calls = _counted(monkeypatch, cli, "check_quasi_cocommutative")
+    for backend in ("exact", "float"):
+        code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "all",
+                           "--backend", backend)
+        assert code == 0 and "check module-morphism: pass" in out
+        assert len(calls) == 1, backend
+        calls.clear()
+
+
+def test_a_command_keeps_no_backend_alive(monkeypatch, capsys):
+    # a verdict cache that refers back to the command's inputs keeps each
+    # MonomialOps, and its transforms, alive until a garbage collection pass
+    made, init = [], MonomialOps.__init__
+
+    def tracked(ops, spec):
+        made.append(weakref.ref(ops))
+        init(ops, spec)
+
+    monkeypatch.setattr(MonomialOps, "__init__", tracked)
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, "check", "--orders", "12", "--which", "all")
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        gc.enable()
+    assert code == 0 and len(made) == 1 and alive == 0
 
 
 @pytest.mark.parametrize("which", ["hopf", "quasitriangular", "ybe"])

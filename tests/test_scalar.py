@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfbraid import scalar
 from hopfbraid.scalar import (
@@ -194,6 +196,25 @@ def test_json_round_trip():
         assert set(data) == {"order", "coeffs"}
         assert all(len(pair) == 2 for pair in data["coeffs"])
         assert CyclotomicNumber.from_json(data) == x
+
+
+@st.composite
+def json_pairs(draw):
+    # any integer pairs: negative and unreduced denominators, zeros, large values
+    order = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    value = st.integers(-2 ** 70, 2 ** 70)
+    pair = st.tuples(value, value.filter(bool) | st.sampled_from([-12, -4, -1, 6, 18]))
+    return order, draw(st.lists(pair, min_size=deg, max_size=deg))
+
+
+@given(json_pairs())
+def test_from_json_reads_pairs_as_their_fractions(case):
+    order, pairs = case
+    got = CyclotomicNumber.from_json({"order": order, "coeffs": [list(p) for p in pairs]})
+    want = CyclotomicNumber(order, tuple(Fraction(n, d) for n, d in pairs))
+    # the same canonical form, not only an equal value
+    assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
 
 
 def test_division():
