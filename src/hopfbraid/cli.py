@@ -72,15 +72,14 @@ from .quantum import (
 )
 from .scalar import MAX_JSON_ORDER, _degree
 
-STRANDS = "strands"  # legs of a choice whose largest matrix acts on --strands strands
+STRANDS = "strands"  # legs of the braid relations: min(--strands, 3), see Choice.legs_on
 MONOMIAL = ("monomial", "source")  # the planned paths that run on MonomialOps
 
 
 class Check(NamedTuple):
     """One reported identity: ``decide(inputs, ops)`` applies its checker to
     what ``on`` names: the spec, r, R' (the --r-matrix file's, if given) or
-    own (the spec's R').  In the fused form every check not on the spec
-    alone is "recorded"."""
+    own (the spec's R').  The fused form records every check on what its r built."""
 
     name: str
     anchor: str
@@ -97,6 +96,10 @@ class Choice(NamedTuple):
     legs: int | str | None = None
     monomial: bool = False
     requires_d: int | None = None
+
+    def legs_on(self, strands: int) -> int | None:
+        """The legs of its largest matrix when --strands is strands."""
+        return min(strands, 3) if self.legs == STRANDS else self.legs
 
     @property
     def on_r_prime(self) -> bool:
@@ -128,9 +131,10 @@ CHOICES = {
               "R'", lambda x, ops: x.relations(3, x.braided, ops)),
     ), legs=3, monomial=True),
     "braid": Choice((
+        # far R'_i commute (disjoint factors); adjacent ones are I (x) (3-strand relation) (x) I
         Check("braid-relations-{strands}",
               "far commutation and adjacent braid relations on {strands} strands",
-              "R'", lambda x, ops: x.relations(x.strands, x.braided, ops)),
+              "R'", lambda x, ops: x.relations(min(x.strands, 3), x.braided, ops)),
     ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
         # the braiding intertwines iff r quasi-cocommutes, as rho x rho is faithful (Kassel, VIII)
@@ -160,8 +164,8 @@ MAX_BRAID_WORK = 1 << 24
 # ... and no exact hopf check of more than this many tensor-element
 # operations (about 3 us each, so about seven seconds of them).
 MAX_TENSOR_WORK = 1 << 21
-# ... and no braid relations or braid word on more strands than this: at
-# d = 1 every matrix is 1x1, so no estimate above bounds the strand loops.
+# ... and no braid word on more strands than this: at d = 1 every matrix is
+# 1x1, so no estimate above bounds its strand loops (check's --strands too).
 MAX_STRANDS = 64
 # ... and no more cyclic factors than this: order-1 factors raise no estimate above.
 MAX_FACTORS = 64
@@ -177,13 +181,10 @@ def matrix_entries(d: int, which: str, strands: int, path: str) -> int:
     certificate), "source" (MonomialOps on R' lifted from r, no
     certificate) or "float" (numpy).  Also used for ``gen-r`` with "gen-r".
     Algebra-level checks build no matrix (see transform_cells, tensor_work)."""
-    legs = 2 if which == "gen-r" else CHOICES[which].legs
+    legs = 2 if which == "gen-r" else CHOICES[which].legs_on(strands)
     if legs is None:
         return 0
-    if legs == STRANDS:
-        legs = strands
-    # past 64 legs every d > 1 is refused; the cap keeps the estimate cheap
-    side = d ** min(max(legs, 2), 64)
+    side = d ** max(legs, 2)
     if path == "source":
         return side
     return max(d ** 4, side if path == "monomial" else side * side)
@@ -218,8 +219,7 @@ def field_work(d: int, which: str, strands: int, path: str, order: int) -> int:
     phi(order)^2 pairs of the factors' power slots by one numpy product,
     which costs about as much as 2048 cells plus the matrix_entries it
     holds, and a check on N legs takes about N^2 products."""
-    legs = CHOICES[which].legs
-    legs = min(strands if legs == STRANDS else legs, 64)
+    legs = CHOICES[which].legs_on(strands)
     # an order above the JSON limit stands in for its phi, as in transform_cells
     phi = _degree(order) if order <= MAX_JSON_ORDER else order
     return legs * legs * phi * phi * (matrix_entries(d, which, strands, path) + 2048)
@@ -524,7 +524,7 @@ def cmd_check(args, argv) -> int:
             t0 = time.perf_counter()
             status, note = ("pass" if check.decide(inputs, backend) else "fail"), detail
             seconds = time.perf_counter() - t0
-            if args.form == "fused" and check.on != "spec":
+            if args.form == "fused" and check.on != "spec" and not (check.on == "R'" and external):
                 status, note = "recorded", "; ".join(filter(None, [f"result: {status}", detail]))
             report.add_check(check.name.format(strands=args.strands),
                              check.anchor.format(strands=args.strands), status, note, seconds)
@@ -536,7 +536,7 @@ def cmd_check(args, argv) -> int:
 
 def cmd_braid(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(" ".join(argv), args.backend)
+    report = Report(" ".join(argv), "exact")
     word = BraidWord(args.strands, _parse_word(args.word))
     _admit_strands(word.strands, "braid")
     d = spec.dimension
@@ -551,7 +551,7 @@ def cmd_braid(args, argv) -> int:
 
     if args.output:
         path = Path(args.output)
-        payload = matrix_to_json(evaluate_braid_word(word, gate), args.backend == "float")
+        payload = matrix_to_json(evaluate_braid_word(word, gate))
         path.write_text(json.dumps(payload, indent=2) + "\n")
         report.artifacts.append(str(path))
 
@@ -613,7 +613,7 @@ def cmd_compare_gates(args, argv) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _add_common(sub):  # braid and compare-gates are exact throughout: no --backend
     sub.add_argument("--backend", choices=("exact", "float"), default="exact",
                      help="exact cyclotomic arithmetic (default) or the "
                           "floating cross-check backend")
@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--orders", required=True, help="comma separated cyclic orders")
     chk.add_argument("--which", choices=(*CHOICES, "all"), default="all")
     chk.add_argument("--form", choices=("product", "fused"), default="product",
-                     help="fused-form checks are reported as 'recorded' and never "
+                     help="checks on the fused r are reported as 'recorded' and never "
                           "affect the exit code")
     chk.add_argument("--strands", type=int, default=3,
                      help="strand count for the braid-relations check")
@@ -668,13 +668,12 @@ def build_parser() -> argparse.ArgumentParser:
     brd.add_argument("--state", default=None,
                      help="phi+/phi-/psi+/psi- (two qubits) or a digit string per strand")
     brd.add_argument("--output", default=None, help="write the word matrix as JSON")
-    _add_common(brd)
+    brd.add_argument("--json", action="store_true", help="machine readable report")
     brd.set_defaults(func=cmd_braid)
 
     cmp_ = subs.add_parser("compare-gates",
                            help="side-by-side diagnostics of the d=2 braided gate, "
                                 "the unit-scalar family gates, and the Bell matrix")
-    # every compare-gates verdict is exact, so it takes no --backend
     cmp_.add_argument("--json", action="store_true", help="machine readable report")
     cmp_.set_defaults(func=cmd_compare_gates)
 

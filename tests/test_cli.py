@@ -11,12 +11,13 @@ import pytest
 
 import hopfbraid
 from hopfbraid import braidrep, cli, scalar
-from hopfbraid.braidrep import BraidWord, braided_r, evaluate_braid_word
+from hopfbraid.braidrep import (BraidedRMatrix, BraidWord, braided_r, check_braid_relations,
+                                evaluate_braid_word)
 from hopfbraid.cli import (CHOICES, MAX_FIELD_WORK, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS,
                            field_work, main, matrix_entries, transform_cells)
-from hopfbraid.groupalg import GroupSpec, specs_up_to
-from hopfbraid.linalg import Matrix, MonomialOps, matrix_from_json, matrix_to_json
-from hopfbraid.quantum import StateVector
+from hopfbraid.groupalg import GroupSpec, specs_up_to, universal_r, universal_r_fused_phase
+from hopfbraid.linalg import INTEGER, Matrix, MonomialOps, matrix_from_json, matrix_to_json
+from hopfbraid.quantum import StateVector, bell_matrix, kauffman_lomonaco_r
 
 
 def run(capsys, *args):
@@ -93,6 +94,33 @@ def test_check_fused_coproduct_identities_record_fail_without_exit_code(capsys):
                        "quasitriangular", "--form", "fused")
     assert code == 0
     assert "result: fail" in out
+
+
+def _changed_r_matrix(capsys, tmp_path) -> str:
+    """The 2,2 R' exported by gen-r with entry 0 changed from 1/4 to 5/4."""
+    path = _gen_r_file(capsys, tmp_path, "2,2")
+    data = json.loads(Path(path).read_text())
+    data["entries"][0] = {"order": 1, "coeffs": [[5, 4]]}
+    Path(path).write_text(json.dumps(data))
+    return path
+
+
+def test_fused_form_decides_the_checks_on_an_r_matrix_file(tmp_path, capsys):
+    # the file's R' does not depend on --form, yet its failure was recorded, exit 0
+    changed = _changed_r_matrix(capsys, tmp_path / "changed")
+    for form in ("product", "fused"):
+        code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "braided-ybe",
+                           "--r-matrix", changed, "--form", form)
+        assert code == 1 and "check braided-ybe: fail" in out, form
+    # the file's rows are decided, the rows on the fused r and the spec's R' recorded
+    code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "all", "--form", "fused",
+                       "--r-matrix", _gen_r_file(capsys, tmp_path, "2,2"), "--json")
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 0 and statuses == {
+        "hopf-axioms": "pass", "quasi-cocommutativity": "recorded",
+        "quasitriangular-coproducts": "recorded", "algebraic-ybe": "recorded",
+        "braided-ybe": "pass", "braid-relations-3": "pass",
+        "module-morphism": "recorded", "hexagon": "recorded"}
 
 
 def test_json_report_schema(capsys):
@@ -307,11 +335,13 @@ def test_usage_error_exit_code(capsys):
     ["gen-r", "--orders", "2", "--output", "<tmp>", "--timings"],
     ["compare-gates", "--tolerance", "1e-6"],
     ["compare-gates", "--backend", "float"],
+    ["braid", "--orders", "2", "--strands", "2", "--word", "1", "--backend", "float"],
 ], ids=["braid-timings", "braid-tolerance", "gen-r-timings", "compare-gates-tolerance",
-        "compare-gates-backend"])
+        "compare-gates-backend", "braid-backend"])
 def test_check_only_options_are_refused_elsewhere(argv, tmp_path, capsys):
-    # only check reads --timings and --tolerance, and compare-gates decides
-    # everything exactly, so it takes no --backend
+    # only check reads --timings and --tolerance, and compare-gates and braid
+    # decide everything exactly, so they take no --backend (braid's printed
+    # "backend: float" over exact amplitudes)
     assert main([str(tmp_path) if a == "<tmp>" else a for a in argv]) == 2
     assert not any(tmp_path.iterdir())
 
@@ -331,8 +361,8 @@ def test_braid_word_starting_with_inverse_letter(capsys, word):
     assert "word [-1, 2] on 3 strands" in out
 
 
-def _write_r_matrix(tmp_path, payload):
-    path = tmp_path / "r.json"
+def _write_r_matrix(tmp_path, payload, name="r"):
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -406,16 +436,21 @@ def test_size_guard_admits_the_commands_in_use(case):
 def test_size_guard_estimate():
     # dense: the square of the side; monomial: the side, but at least the
     # d^2 x d^2 certificate
-    assert matrix_entries(2, "braid", 12, "dense") == 2 ** 24
-    assert matrix_entries(2, "braid", 12, "monomial") == 2 ** 12
-    assert matrix_entries(6, "braid", 5, "dense") == 6 ** 10
+    assert matrix_entries(6, "braided-ybe", 3, "dense") == 6 ** 6
     assert matrix_entries(64, "braided-ybe", 3, "monomial") == 64 ** 4
+    assert matrix_entries(64, "braided-ybe", 3, "source") == 64 ** 3
+    # braid relations on N strands are decided on min(N, 3)
+    for path in ("dense", "monomial", "source", "float"):
+        assert matrix_entries(6, "braid", 2, path) == (6 ** 2 if path == "source" else 6 ** 4)
+        for strands in (3, 5, 12):
+            assert (matrix_entries(6, "braid", strands, path)
+                    == matrix_entries(6, "braided-ybe", 3, path)), (strands, path)
     assert matrix_entries(12, "quasitriangular", 3, "dense") == 0
     # the float lift of a three-leg element is a d^3 FFT diagonal, no matrix
     assert matrix_entries(12, "quasitriangular", 3, "float") == 0
-    for refused in [(2, "braid", 12, "dense"), (6, "braid", 5, "dense"),
+    for refused in [(9, "braid", 5, "dense"), (9, "braided-ybe", 3, "dense"),
                     (64, "braided-ybe", 3, "monomial"), (64, "gen-r", 2, "dense"),
-                    (2, "braid", 30, "monomial")]:
+                    (64, "braid", 30, "monomial")]:
         assert matrix_entries(*refused) > MAX_MATRIX_ENTRIES, refused
 
 
@@ -436,21 +471,23 @@ def test_source_path_is_priced_by_its_side_and_its_weights():
     # side, and that side times the phi(L) powers of zeta of each weight
     assert matrix_entries(24, "braided-ybe", 3, "source") == 24 ** 3
     assert transform_cells(24, "braided-ybe", "source") == 24 ** 3 * 8  # phi(24)
-    assert transform_cells(16, "braid", "source", 4) == 16 ** 4 * 8 <= MAX_TRANSFORM_CELLS
+    assert transform_cells(16, "braid", "source", 4) == 16 ** 3 * 8 <= MAX_TRANSFORM_CELLS
+    assert transform_cells(16, "braid", "source", 2) == 16 ** 2 * 8
     # the product form of 2,2,2,2 lives over Q(zeta_2), its fused form over Q(zeta_16)
-    assert transform_cells(16, "braid", "source", 4, order=2) == 16 ** 4
+    assert transform_cells(16, "braid", "source", 4, order=2) == 16 ** 3
     assert transform_cells(64, "hexagon", "source") == 64 ** 3 * 32
     # the algebra-level checks keep their transform price on the source path
     assert transform_cells(24, "ybe", "source") == 24 ** 4
     for admitted in [(2, "hexagon", 3), (24, "braided-ybe", 3), (24, "hexagon", 3),
-                     (32, "braided-ybe", 3), (16, "braid", 4), (6, "braid", 5), (2, "braid", 18)]:
+                     (32, "braided-ybe", 3), (16, "braid", 4), (6, "braid", 5), (2, "braid", 18),
+                     (32, "braid", 64), (3, "braid", 12), (6, "braid", 8)]:
         assert matrix_entries(*admitted, "source") <= MAX_MATRIX_ENTRIES, admitted
         assert transform_cells(admitted[0], admitted[1], "source", admitted[2]) \
             <= MAX_TRANSFORM_CELLS, admitted
     # what the monomial path refuses stays refused, by its side or by its cells
     for refused in [(64, "braided-ybe", 3), (64, "hexagon", 3), (600, "braided-ybe", 3),
-                    (10 ** 12, "braided-ybe", 3), (2, "braid", 19), (2, "braid", 30),
-                    (3, "braid", 12), (6, "braid", 8), (2, "braid", 10 ** 12)]:
+                    (10 ** 12, "braided-ybe", 3), (64, "braid", 4), (64, "braid", 10 ** 12),
+                    (10 ** 12, "braid", 5)]:
         d, which, strands = refused
         assert matrix_entries(*refused, "monomial") > MAX_MATRIX_ENTRIES
         assert (matrix_entries(*refused, "source") > MAX_MATRIX_ENTRIES
@@ -741,39 +778,47 @@ def test_factor_limit_admits_64_factors(capsys):
     assert code == 0 and "0 fail" in out
 
 
-def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):
-    # not monomial in the character basis, and 6^5 is too large a dense side
-    sheared = Matrix.identity(36)
+def _sheared_identity(tmp_path, side) -> str:
+    """The identity of the given side with entry (0, 1) set to 1: no monomial certificate."""
+    sheared = Matrix.identity(side)
     sheared.entries[1] = sheared.entries[0]
-    path = tmp_path / "sheared.json"
-    path.write_text(json.dumps(matrix_to_json(sheared)))
-    code, out, err = run(capsys, "check", "--orders", "6", "--which", "braid",
-                         "--strands", "5", "--r-matrix", str(path))
+    return _write_r_matrix(tmp_path, matrix_to_json(sheared), f"sheared{side}")
+
+
+def test_uncertified_matrix_too_large_for_the_dense_fallback_exits_two(tmp_path, capsys):
+    # not monomial in the character basis, and 9^3 is too large a dense side
+    path = _sheared_identity(tmp_path, 81)
+    code, out, err = run(capsys, "check", "--orders", "9", "--which", "braid",
+                         "--strands", "5", "--r-matrix", path)
     assert code == 2 and out == ""
-    assert "without a monomial certificate" in err and err.count("\n") == 1
+    assert err == ("error: check --which braid without a monomial certificate would build "
+                   "a matrix of 531441 entries, above the limit of 262144\n")
 
 
 def test_uncertified_matrix_is_refused_before_any_check_runs(monkeypatch, tmp_path, capsys):
     # the certificate is taken while planning, so the dense fallback of
-    # braid is priced, and refused, before hopf (the first check) runs
+    # braided-ybe is priced, and refused, before hopf (the first check) runs
     def refuse(*args):
         raise AssertionError("a check ran before every choice was admitted")
 
     monkeypatch.setattr(cli, "check_hopf_axioms", refuse)
-    sheared = Matrix.identity(36)
-    sheared.entries[1] = sheared.entries[0]
-    path = tmp_path / "sheared.json"
-    path.write_text(json.dumps(matrix_to_json(sheared)))
-    code, out, err = run(capsys, "check", "--orders", "6", "--which", "all",
-                         "--strands", "5", "--r-matrix", str(path))
+    code, out, err = run(capsys, "check", "--orders", "9", "--which", "all",
+                         "--strands", "5", "--r-matrix", _sheared_identity(tmp_path, 81))
     assert code == 2 and out == ""
-    assert err.startswith("error: check --which braid without a monomial certificate")
+    assert err.startswith("error: check --which braided-ybe without a monomial certificate")
     assert err.count("\n") == 1
 
 
 def test_size_guard_estimate_stays_cheap_for_huge_strand_counts():
-    assert matrix_entries(2, "braid", 10 ** 12, "monomial") > MAX_MATRIX_ENTRIES
-    assert matrix_entries(1, "braid", 10 ** 12, "dense") == 1
+    # the 64-strand cap kept the estimate cheap; min(N, 3) legs need none
+    start = time.perf_counter()
+    for d in (1, 2, 6, 10 ** 6):
+        for path in ("dense", "monomial", "source", "float"):
+            assert (matrix_entries(d, "braid", 10 ** 12, path)
+                    == matrix_entries(d, "braided-ybe", 3, path)), (d, path)
+        assert (field_work(d, "braid", 10 ** 12, "dense", 2)
+                == field_work(d, "braided-ybe", 3, "dense", 2)), d
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the check table -----------------------------------------------------------
@@ -842,6 +887,70 @@ def test_a_braid_relation_reported_in_several_rows_is_decided_once(monkeypatch, 
     code, _, _ = run(capsys, "check", "--orders", "2,2", "--which", "all",
                      "--r-matrix", r_matrix)
     assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_braid_relations_on_n_strands_are_decided_on_three(monkeypatch, tmp_path, capsys,
+                                                           backend):
+    # far generators commute on disjoint factors, and each adjacent relation
+    # is I (x) (the three-strand relation) (x) I, so N strands hold iff 3 do
+    calls = _counted(monkeypatch, cli, "check_braid_relations")
+    for n in range(2, 7):
+        code, out, _ = run(capsys, "check", "--orders", "2", "--which", "braid",
+                           "--strands", str(n), "--backend", backend)
+        assert code == 0 and f"check braid-relations-{n}: pass" in out
+    assert [strands for strands, *_ in calls] == [2, 3, 3, 3, 3]
+    calls.clear()
+    # braided-ybe and braid-relations-5 share one verdict (and the hexagon, on the same R')
+    code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "all", "--strands", "5",
+                       "--backend", backend)
+    assert code == 0 and "braid-relations-5: pass" in out and [c[0] for c in calls] == [3]
+    calls.clear()
+    code, out, _ = run(capsys, "check", "--orders", "2,2", "--which", "all", "--strands", "5",
+                       "--backend", backend, "--r-matrix", _changed_r_matrix(capsys, tmp_path))
+    assert code == 1 and "check braid-relations-5: fail" in out
+    assert "check braided-ybe: fail" in out and "check hexagon: pass" in out
+    assert [c[0] for c in calls] == [3, 3]  # the file's R', then the spec's own
+
+
+def _braid_row_verdict(capsys, *args) -> str:
+    """The braid-relations row's result, read through a recorded row's detail."""
+    code, out, _ = run(capsys, "check", "--which", "braid", *args, "--json")
+    (row,) = json.loads(out)["checks"]
+    if row["status"] == "recorded":
+        return row["detail"].split(";")[0].removeprefix("result: ")
+    assert code == (row["status"] == "fail")
+    return row["status"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_braid_relations_row_agrees_with_the_n_strand_checker(tmp_path, capsys, backend):
+    # the library's N-strand checker builds every generator on d^N-dimensional
+    # space: the oracle of the three-strand decision, wherever d^N <= 256
+    cases = []
+    for orders in ("2", "3", "4", "2,2", "6"):
+        spec = GroupSpec(tuple(int(n) for n in orders.split(",")))
+        for form, r in (("product", universal_r(spec)), ("fused", universal_r_fused_phase(spec))):
+            cases.append((orders, form, braided_r(spec, r), []))
+    files = [("2,2", _changed_r_matrix(capsys, tmp_path)),
+             ("2", _sheared_identity(tmp_path, 4)), ("3", _sheared_identity(tmp_path, 9)),
+             *(("2", _write_r_matrix(tmp_path, matrix_to_json(m), name)) for name, m in (
+                 ("bell", bell_matrix()), ("kl", kauffman_lomonaco_r(1, 1, 1, 1)),
+                 ("kl_minus", kauffman_lomonaco_r(1, -1, 1, 1))))]
+    for orders, path in files:
+        m = matrix_from_json(json.loads(Path(path).read_text()))
+        side = round(m.rows ** 0.5)
+        cases.append((orders, "product", BraidedRMatrix(side, m), ["--r-matrix", path]))
+    verdicts = set()
+    for orders, form, r_prime, file in cases:
+        d = r_prime.dimension
+        for n in (n for n in range(2, 6) if d ** n <= 256):
+            expected = "pass" if check_braid_relations(n, r_prime, INTEGER) else "fail"
+            verdicts.add(expected)
+            assert _braid_row_verdict(capsys, "--orders", orders, "--form", form,
+                                      "--strands", str(n), "--backend", backend,
+                                      *file) == expected, (orders, form, file, n)
+    assert verdicts == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("orders", ["2", "4", "2,2", "6"])

@@ -49,6 +49,11 @@ CASES = {
                                 "fused", "--json"],
     "check_3_braid_4.json": ["check", "--orders", "3", "--which", "braid", "--strands",
                              "4", "--json"],
+    # braid relations on six strands, decided as the braid relation on three
+    "check_2_braid_6.json": ["check", "--orders", "2", "--which", "braid", "--strands",
+                             "6", "--json"],
+    "check_2_braid_6_float.json": ["check", "--orders", "2", "--which", "braid", "--strands",
+                                   "6", "--backend", "float", "--json"],
     "check_3_all.txt": ["check", "--orders", "3", "--which", "all"],
     # the float cross-check of every identity on a two-factor spec
     "check_23_all_float.json": ["check", "--orders", "2,3", "--which", "all", "--backend",
@@ -143,10 +148,11 @@ def _changed_gen_r(tmp_path, capsys) -> Path:
     return path
 
 
-def _changed_r_matrix_matches_golden(which: str, name: str, tmp_path, capsys) -> Path:
+def _changed_r_matrix_matches_golden(which: str, name: str, tmp_path, capsys,
+                                     *more: str) -> Path:
     path = _changed_gen_r(tmp_path, capsys)
     for suffix, extra in (("txt", []), ("json", ["--json"])):
-        assert main(["check", "--orders", "2,2", "--which", which,
+        assert main(["check", "--orders", "2,2", "--which", which, *more,
                      "--r-matrix", str(path), *extra]) == 1
         report = _normalise(capsys.readouterr().out, tmp_path)
         assert report == (GOLDEN / f"{name}.{suffix}").read_text()
@@ -165,6 +171,11 @@ def test_imported_r_matrix_and_own_braiding_split_the_report(tmp_path, capsys):
     # braided-ybe and braid-relations-3 read the file's R' and fail; the
     # module morphism and the hexagon braid with the spec's own R' and pass
     _changed_r_matrix_matches_golden("all", "check_22_all_split_r_matrix", tmp_path, capsys)
+
+
+def test_changed_gen_r_entry_fails_the_braid_relations_on_four_strands(tmp_path, capsys):
+    _changed_r_matrix_matches_golden("braid", "check_22_braid_4_r_matrix", tmp_path, capsys,
+                                     "--strands", "4")
 
 
 def test_the_file_certificate_is_taken_once_per_command(monkeypatch, tmp_path, capsys):
