@@ -240,9 +240,9 @@ def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
     word matrix's d^N.  Inverting R' costs about 2 d^6.  The Schmidt rank
     across cut c row-reduces a d^c x d^(N-c) matrix of rank k at about
     d^N (1 + k) operations, where k <= d^(2m) for the m letters that act
-    across the cut (the input state has rank 1, or is two qubits).  N is
-    capped at 64, as in matrix_entries."""
-    n = min(word.strands, 64)
+    across the cut (the input state has rank 1, or is two qubits).  The
+    caller admits N (_admit_strands) first."""
+    n = word.strands
     size = d ** n
     work = len(word.letters) * d ** (n + 2) * ((size if output else 0) + (1 if state else 0))
     if any(x < 0 for x in word.letters):
@@ -369,7 +369,7 @@ def _build_r(spec: GroupSpec, form: str):
 
 def cmd_gen_r(args, argv) -> int:
     spec = _parse_orders(args.orders)
-    report = Report(" ".join(argv), args.backend)
+    report = Report(" ".join(argv), "exact")
     _admit(matrix_entries(spec.dimension, "gen-r", 2, "dense"), "gen-r")
     r = _build_r(spec, args.form)
     rep = regular_representation(spec)
@@ -380,12 +380,11 @@ def cmd_gen_r(args, argv) -> int:
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    float_entries = args.backend == "float"
     files = [
         ("universal_r.json", tensor_to_json(r)),
-        ("gamma_r.json", matrix_to_json(gamma, float_entries)),
-        ("flip.json", matrix_to_json(flip, float_entries)),
-        ("braided_r.json", matrix_to_json(braided, float_entries)),
+        ("gamma_r.json", matrix_to_json(gamma)),
+        ("flip.json", matrix_to_json(flip)),
+        ("braided_r.json", matrix_to_json(braided)),
     ]
     for name, payload in files:
         path = out_dir / name
@@ -541,8 +540,8 @@ def cmd_braid(args, argv) -> int:
     _admit_strands(word.strands, "braid")
     d = spec.dimension
     # the largest matrix that runs: R', the state column and each Schmidt
-    # matrix (d^N entries) or the word's; the cap refuses any d > 1 cheaply
-    size = d ** min(word.strands, 64)
+    # matrix (d^N entries) or the word's; N <= MAX_STRANDS keeps d^N cheap to price
+    size = d ** word.strands
     _admit(max(d ** 4, size * size if args.output else size), "braid",
            work=braid_work(d, word, bool(args.output), args.state is not None))
     gate = braided_r(spec)
@@ -576,7 +575,7 @@ def _parse_state(text: str, d: int, n: int) -> StateVector:
         if d != 2 or n != 2:
             raise ValueError("named Bell states need local dimension 2 and two strands")
         return bell_state(text)
-    if len(text) != n or not text.isdigit():
+    if len(text) != n or not text.isdecimal():
         raise ValueError(f"state {text!r} must be {n} digits below {d} or a Bell name")
     return StateVector.computational(d, text)
 
@@ -613,13 +612,6 @@ def cmd_compare_gates(args, argv) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(sub):  # braid and compare-gates are exact throughout: no --backend
-    sub.add_argument("--backend", choices=("exact", "float"), default="exact",
-                     help="exact cyclotomic arithmetic (default) or the "
-                          "floating cross-check backend")
-    sub.add_argument("--json", action="store_true", help="machine readable report")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -638,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--form", choices=("product", "fused"), default="product",
                      help="per-factor phase product (default) or single fused exponent")
     gen.add_argument("--output", default=".", help="output directory")
-    _add_common(gen)
+    gen.add_argument("--json", action="store_true", help="machine readable report")
     gen.set_defaults(func=cmd_gen_r)
 
     chk = subs.add_parser("check", help="run exact identity checkers")
@@ -658,7 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include wall times (off by default so reports are "
                           "byte-for-byte reproducible); a verdict shared by several "
                           "rows is timed on its first")
-    _add_common(chk)
+    # the only subcommand with a float backend: the others compute exactly
+    chk.add_argument("--backend", choices=("exact", "float"), default="exact",
+                     help="exact cyclotomic arithmetic (default) or the "
+                          "floating cross-check backend")
+    chk.add_argument("--json", action="store_true", help="machine readable report")
     chk.set_defaults(func=cmd_check)
 
     brd = subs.add_parser("braid", help="evaluate a braid word, optionally on a state")

@@ -54,7 +54,7 @@ from operator import add
 import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
-                       as_single_leg)
+                       _accumulate, as_single_leg)
 from .scalar import (CyclotomicNumber, _canonical, _degree, _residues, _row_reduce, as_scalar,
                      rational, root_of_unity)
 
@@ -294,12 +294,12 @@ def _action_image(modules, t: TensorElement) -> Matrix:
     """Matrix of the tensor element t acting on V_1 (x) ... (x) V_k, where
     modules[i] gives V_i's ``dimension`` and its matrix ``on_basis(exps)``:
     the sum over terms of c * kron(rho_1(g_1), ..., rho_k(g_k)).  Only the
-    nonzero entries of each factor are visited; cells no term reaches stay
-    rational(0)."""
+    nonzero entries of each factor are visited; cells no term reaches, or
+    whose terms cancel, hold rational(0)."""
     dims = [m.dimension for m in modules]
     size = prod(dims)
     nonzero = [{} for _ in modules]  # per leg: exps -> [(row, col, entry)]
-    cells: dict = {}
+    cells = []  # (cell, value) per term and choice of nonzero factor entries
     for key, c in t.terms.items():
         legs = []
         for module, seen, exps in zip(modules, nonzero, key):
@@ -315,11 +315,9 @@ def _action_image(modules, t: TensorElement) -> Matrix:
             for n, (i, j, e) in zip(dims, hits):
                 row, col = row * n + i, col * n + j
                 value = value * e
-            cell = row * size + col
-            prev = cells.get(cell)
-            cells[cell] = value if prev is None else prev + value
+            cells.append((row * size + col, value))
     entries = [rational(0)] * (size * size)
-    for cell, value in cells.items():
+    for cell, value in _accumulate(cells).items():
         entries[cell] = value
     return Matrix(size, size, entries)
 
@@ -959,24 +957,19 @@ class MonomialOps(ExactOps):
 # -- JSON interchange ------------------------------------------------------
 
 
-def matrix_to_json(m: Matrix, float_entries: bool = False) -> dict:
-    if float_entries:
-        entries = [[z.real, z.imag] for z in (e.to_complex() for e in m.entries)]
-    else:
-        entries = [e.to_json() for e in m.entries]
-    return {"rows": m.rows, "cols": m.cols, "entries": entries}
+def matrix_to_json(m: Matrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols, "entries": [e.to_json() for e in m.entries]}
 
 
 def matrix_from_json(data: dict) -> Matrix:
-    """Inverse of matrix_to_json for exact entries; raises ValueError on
-    malformed input."""
+    """Inverse of matrix_to_json; raises ValueError on malformed input: a
+    shape that is not two JSON integers, entries that are not a list, or an
+    entry that is not scalar JSON (CyclotomicNumber.from_json)."""
     try:
-        rows, cols, entries = data["rows"], data["cols"], list(data["entries"])
-        if type(rows) is not int or type(cols) is not int:
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        if type(rows) is not int or type(cols) is not int or type(entries) is not list:
             raise TypeError
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValueError("matrix JSON needs integer 'rows' and 'cols' and an "
                          "'entries' list") from None
-    if entries and not isinstance(entries[0], dict):
-        raise ValueError("float-backend matrix exports cannot be re-imported exactly")
     return Matrix(rows, cols, [CyclotomicNumber.from_json(e) for e in entries])

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -169,15 +170,6 @@ def test_gen_r_composite_orders_dimension(tmp_path, capsys):
     assert data["rows"] == 36
 
 
-def test_gen_r_float_backend_exports_pairs(tmp_path, capsys):
-    out_dir = tmp_path / "floats"
-    code, _, _ = run(capsys, "gen-r", "--orders", "2", "--output", str(out_dir),
-                     "--backend", "float")
-    assert code == 0
-    data = json.loads((out_dir / "flip.json").read_text())
-    assert data["entries"][0] == [1.0, 0.0]
-
-
 def test_round_trip_gen_then_check(tmp_path, capsys):
     out_dir = tmp_path / "roundtrip"
     code, _, _ = run(capsys, "gen-r", "--orders", "2", "--output", str(out_dir))
@@ -237,6 +229,15 @@ def test_braid_state_action(capsys):
     assert "schmidt rank across cut 1: 2" in out
     # image is psi+: both middle amplitudes positive, outer ones zero
     assert "amp |01>: (1/2)*z8 + (-1/2)*z8^3" in out
+
+
+@pytest.mark.parametrize("state", ["\u00b21", "1\u00b9", "0x", "012"])
+def test_braid_state_that_is_not_decimal_digits_is_refused(capsys, state):
+    # str.isdigit() accepted a superscript two, and int() then failed on it
+    code, out, err = run(capsys, "braid", "--orders", "12", "--strands", "2", "--word", "1",
+                         "--state", state)
+    assert code == 2 and out == ""
+    assert err == f"error: state {state!r} must be 2 digits below 12 or a Bell name\n"
 
 
 def test_braid_state_builds_no_word_matrix(monkeypatch, tmp_path, capsys):
@@ -336,14 +337,23 @@ def test_usage_error_exit_code(capsys):
     ["compare-gates", "--tolerance", "1e-6"],
     ["compare-gates", "--backend", "float"],
     ["braid", "--orders", "2", "--strands", "2", "--word", "1", "--backend", "float"],
+    ["gen-r", "--orders", "2", "--output", "<tmp>", "--backend", "float"],
 ], ids=["braid-timings", "braid-tolerance", "gen-r-timings", "compare-gates-tolerance",
-        "compare-gates-backend", "braid-backend"])
+        "compare-gates-backend", "braid-backend", "gen-r-backend"])
 def test_check_only_options_are_refused_elsewhere(argv, tmp_path, capsys):
-    # only check reads --timings and --tolerance, and compare-gates and braid
-    # decide everything exactly, so they take no --backend (braid's printed
-    # "backend: float" over exact amplitudes)
+    # only check reads --timings and --tolerance, and gen-r, compare-gates and
+    # braid decide everything exactly, so they take no --backend (braid's
+    # printed "backend: float" over exact amplitudes, and gen-r's wrote three
+    # of its files as [re, im] pairs that check --r-matrix refuses)
     assert main([str(tmp_path) if a == "<tmp>" else a for a in argv]) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_only_check_has_a_backend_option():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert {name for name, sub in subs.choices.items()
+            if any("--backend" in a.option_strings for a in sub._actions)} == {"check"}
 
 
 def test_timings_flag_adds_seconds(capsys):
@@ -379,6 +389,26 @@ def test_malformed_r_matrix_exits_two_with_one_line_error(tmp_path, capsys, payl
                        "--r-matrix", _write_r_matrix(tmp_path, payload))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FLOAT_EXPORT = [[1.0, 0.0], [0.0, 0.0]]  # [re, im] pairs, as old float exports held
+
+
+@pytest.mark.parametrize("entries, message", [
+    # a malformed entries field was read as a float export from entry 0
+    ("x", "matrix JSON needs integer 'rows' and 'cols' and an 'entries' list"),
+    ({"a": 1}, "matrix JSON needs integer 'rows' and 'cols' and an 'entries' list"),
+    (None, "matrix JSON needs integer 'rows' and 'cols' and an 'entries' list"),
+    ([None], "cyclotomic number JSON needs"),
+    (_FLOAT_EXPORT, "cyclotomic number JSON needs"),
+    ([{"order": 1, "coeffs": [[1, 1]]}, *_FLOAT_EXPORT], "cyclotomic number JSON needs"),
+], ids=["string", "object", "null", "null-entry", "float-export", "float-at-entry-1"])
+def test_malformed_r_matrix_entries_name_their_format(tmp_path, capsys, entries, message):
+    payload = {"rows": 1, "cols": 1, "entries": entries}
+    code, out, err = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",
+                         "--r-matrix", _write_r_matrix(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shape", [{"rows": 1.9}, {"cols": "1"}, {"rows": True}])
