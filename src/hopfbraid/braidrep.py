@@ -11,8 +11,8 @@ R''s source, the two-leg element r, and builds the dense d^2 x d^2 matrix
 only when ``matrix`` is first read.  A checker lifts R' through its
 backend's ``braided``: the exact dense backends lift that matrix, while
 linalg.MonomialOps and floatback.NumpyOps lift r itself, to the flip
-permutation times r's character-basis diagonal and to a scatter of r's
-complex coefficients.
+permutation times r's character-basis diagonal (exact, or numpy's FFT of
+r's complex coefficients, taken back to the group basis by FFTs).
 A word applies letter i as the two-qudit gate R' (or its inverse) to
 strands (i-1, i), through linalg.apply_on_qudits, in written order: the
 first letter is the rightmost factor of the evaluated matrix product.  No

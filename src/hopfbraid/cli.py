@@ -575,7 +575,7 @@ def _parse_state(text: str, d: int, n: int) -> StateVector:
         if d != 2 or n != 2:
             raise ValueError("named Bell states need local dimension 2 and two strands")
         return bell_state(text)
-    if len(text) != n or not text.isdecimal():
+    if len(text) != n or not text.isdecimal() or any(int(ch) >= d for ch in text):
         raise ValueError(f"state {text!r} must be {n} digits below {d} or a Bell name")
     return StateVector.computational(d, text)
 

@@ -4,8 +4,8 @@
 is written against (see groupalg.ExactAlgebraOps).  A tensor element is
 lifted to the diagonal of its regular image in the character basis, taken
 by numpy's FFT, so tensor products are elementwise; a matrix is lifted to
-a dense numpy complex matrix, and R' built from its source r is scattered
-from r's complex coefficients by index arrays (braided_complex), so no
+a dense numpy complex matrix, and R' built from its source r is the flip
+permutation times r's diagonal, taken back by FFTs (braided_complex), so no
 exact matrix is built for it.  Every product and sum is taken in floating
 arithmetic, and equality is an absolute entrywise tolerance (1e-9 by
 default, the arrays stay small).  This is an independent numerical sanity
@@ -14,8 +14,6 @@ arithmetic with the exact character transform.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 import numpy as np
 
@@ -31,24 +29,19 @@ def matrix_complex(m: Matrix) -> np.ndarray:
 
 def braided_complex(r: TensorElement) -> np.ndarray:
     """flip . (rho (x) rho)(r) for a two-leg element r, as a dense complex
-    matrix built from r's terms with index arrays: the term c g^a (x) g^b
-    sends e_x (x) e_y to c e_(b+y) (x) e_(a+x).  The group acts freely, so
-    distinct reduced terms reach distinct cells: each cell is one
-    coefficient's to_complex, as matrix_complex of the exact matrix gives
-    it (np.add.at still sums keys that reduce to one term)."""
-    spec = r.spec
-    d, orders = spec.dimension, np.array(spec.orders)
-    place = np.array([prod(spec.orders[i + 1:]) for i in range(len(orders))])
-    digits = np.array(list(spec.basis())).reshape(d, -1)
-    # added[a, x]: the spec index of g^a g^x
-    added = ((digits[:, None] + digits[None]) % orders) @ place
-    keys = np.array([sum(key, ()) for key in r.terms], dtype=np.intp).reshape(-1, 2, len(orders))
-    a, b = ((keys % orders) @ place).T
-    x, y = np.divmod(np.arange(d * d), d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    np.add.at(out, (added[b[:, None], y] * d + added[a[:, None], x], np.arange(d * d)),
-              np.array([c.to_complex() for c in r.terms.values()])[:, None])
-    return out
+    matrix: in the character basis it is P D, D the diagonal
+    tensor_complex(r) gathered by the flip permutation P, as
+    linalg.MonomialOps.braided builds it, taken back to the group basis by
+    F (x) F on the row legs and its inverse on the column legs.  On each
+    axis F[j, c] = zeta^(j c), so F x = n ifft(x) and x F^-1 = fft(x) / n;
+    the scales cancel."""
+    spec, d = r.spec, r.spec.dimension
+    flip = np.arange(d * d).reshape(d, d).T.ravel()
+    pd = np.zeros((d * d, d * d), dtype=complex)
+    pd[np.arange(d * d), flip] = tensor_complex(spec, r)[flip]
+    rows, cols = np.arange(4 * len(spec.orders)).reshape(2, -1)
+    pd = np.fft.fftn(pd.reshape(spec.orders * 4), axes=cols)
+    return np.fft.ifftn(pd, axes=rows).reshape(d * d, d * d)
 
 
 def tensor_complex(spec: GroupSpec, t: TensorElement) -> np.ndarray:
@@ -77,8 +70,8 @@ class NumpyOps:
         return matrix_complex(m)
 
     def braided(self, b) -> np.ndarray:
-        """A braidrep.BraidedRMatrix: scattered from its source when it has
-        one, so no exact matrix is built, else its matrix lifted."""
+        """A braidrep.BraidedRMatrix: built from its source when it has one
+        (braided_complex), so no exact matrix is built, else its matrix lifted."""
         return matrix_complex(b.matrix) if b.source is None else braided_complex(b.source)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -943,7 +943,7 @@ class MonomialOps(ExactOps):
         # only a side d^k has a character basis, F^(k); mixing another side
         # into a Kronecker product would break the conjugation invariant
         side, d = n, self.dimension
-        while d > 1 and side % d == 0:
+        while d > 1 and side > 0 and side % d == 0:  # else side 0 stays 0
             side //= d
         if side != 1:
             raise NotMonomialError(f"side {n} is not a power of the local dimension {d}")

@@ -32,7 +32,8 @@ class StateVector:
         if d < 1 or n < 1:
             raise ValueError("local dimension and qudit count must be positive")
         amps = [as_scalar(a) for a in amps]
-        if len(amps) != d ** n:
+        # d^n >= 2^n exceeds the count for a large n: refused before d ** n is taken
+        if (d > 1 and n >= len(amps).bit_length()) or len(amps) != d ** n:
             raise ValueError("amplitude count does not match d^n")
         if all(a.is_zero for a in amps):
             raise ValueError("the zero state is not a valid state")

@@ -240,6 +240,15 @@ def test_braid_state_that_is_not_decimal_digits_is_refused(capsys, state):
     assert err == f"error: state {state!r} must be 2 digits below 12 or a Bell name\n"
 
 
+@pytest.mark.parametrize("orders, state", [("2", "29"), ("2", "20"), ("3", "13")])
+def test_braid_state_with_a_digit_not_below_d_is_refused(capsys, orders, state):
+    # the library's "digit out of range" message was printed instead
+    code, out, err = run(capsys, "braid", "--orders", orders, "--strands", "2", "--word", "1",
+                         "--state", state)
+    assert code == 2 and out == ""
+    assert err == f"error: state {state!r} must be 2 digits below {orders} or a Bell name\n"
+
+
 def test_braid_state_builds_no_word_matrix(monkeypatch, tmp_path, capsys):
     # --state alone applies the word to one column: no matrix holds more
     # entries than R' (3^4) or the state (3^3); only --output builds the

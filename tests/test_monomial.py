@@ -271,13 +271,13 @@ def test_source_lift_equals_the_lift_of_the_dense_r_prime(spec, form, braiding_b
     ops = MonomialOps(spec)
     lifted, certified = ops.braided(gate), ops.matrix(dense)
     assert lifted.perm == certified.perm and lifted.weights == certified.weights
-    scattered = floatback.NumpyOps().braided(gate)
-    assert np.max(np.abs(scattered - floatback.matrix_complex(dense))) <= 1e-12
+    floated = floatback.NumpyOps().braided(gate)
+    assert np.max(np.abs(floated - floatback.matrix_complex(dense))) <= 1e-12
     assert not braiding_builds  # neither lift built the dense R'
     assert gate.matrix == dense and len(braiding_builds) == 1
 
 
-@pytest.mark.parametrize("spec", specs_up_to(4), ids=lambda s: ",".join(map(str, s.orders)))
+@pytest.mark.parametrize("spec", specs_up_to(8), ids=lambda s: ",".join(map(str, s.orders)))
 def test_source_lifts_of_an_element_not_symmetric_in_its_legs(spec):
     # R and its fused form are symmetric in their legs, so they cannot tell
     # the flip's two legs apart
@@ -289,8 +289,8 @@ def test_source_lifts_of_an_element_not_symmetric_in_its_legs(spec):
     gate = BraidedRMatrix(spec.dimension, source=r)
     f = _character_basis(spec, 2)
     assert dense @ f == f @ MonomialOps(spec).braided(gate).to_matrix()
-    scattered = floatback.NumpyOps().braided(gate)
-    assert np.max(np.abs(scattered - floatback.matrix_complex(dense))) <= 1e-12
+    floated = floatback.NumpyOps().braided(gate)
+    assert np.max(np.abs(floated - floatback.matrix_complex(dense))) <= 1e-12
 
 
 def test_matrices_without_a_source_are_certified():
@@ -302,6 +302,17 @@ def test_matrices_without_a_source_are_certified():
     # spec's character basis
     other = braided_r(GroupSpec((4,)))
     assert ops.braided(other) is ops.matrix(other.matrix)
+
+
+def test_identity_of_side_zero_is_refused(in_subprocess):
+    # side //= d kept a side 0 at 0, so identity(0) never returned
+    done = in_subprocess("from hopfbraid.groupalg import GroupSpec\n"
+                         "from hopfbraid.linalg import MonomialOps, NotMonomialError\n"
+                         "try:\n"
+                         "    MonomialOps(GroupSpec((2,))).identity(0)\n"
+                         "except NotMonomialError as exc:\n"
+                         "    print(exc)\n", timeout=10)
+    assert (done.returncode, done.stdout) == (0, "side 0 is not a power of the local dimension 2\n")
 
 
 def test_non_monomial_matrices_are_refused():

@@ -253,3 +253,19 @@ def test_state_from_json_accepts_only_integer_d_and_n(field):
     assert state_from_json(data) == StateVector.computational(2, "1")
     with pytest.raises(ValueError, match="integer 'd' and 'n'"):
         state_from_json({**data, **field})
+
+
+def test_state_json_with_a_huge_qudit_count_is_refused(in_subprocess):
+    # d ** n was taken before it was compared with the amplitude count
+    done = in_subprocess("from hopfbraid.quantum import state_from_json\n"
+                         "one = {'order': 1, 'coeffs': [[1, 1]]}\n"
+                         "try:\n"
+                         "    state_from_json({'d': 3, 'n': 10 ** 9, 'amps': [one]})\n"
+                         "except ValueError as exc:\n"
+                         "    print(exc)\n", timeout=10)
+    assert (done.returncode, done.stdout) == (0, "amplitude count does not match d^n\n")
+    one = rational(1)
+    assert StateVector(1, 10 ** 9, [one]).n == 10 ** 9
+    for d, n, count in ((2, 3, 4), (2, 2, 3), (3, 2, 8)):
+        with pytest.raises(ValueError, match="amplitude count"):
+            StateVector(d, n, [one] * count)
