@@ -10,9 +10,9 @@ on N strands (generator count N-1, total dimension d^N).  braided_r keeps
 R''s source, the two-leg element r, and builds the dense d^2 x d^2 matrix
 only when ``matrix`` is first read.  A checker lifts R' through its
 backend's ``braided``: the exact dense backends lift that matrix, while
-linalg.MonomialOps and floatback.NumpyOps lift r itself, to the flip
-permutation times r's character-basis diagonal (exact, or numpy's FFT of
-r's complex coefficients, taken back to the group basis by FFTs).
+linalg.MonomialOps and floatback.NumpyOps lift r itself: to the flip
+permutation times r's exact character-basis diagonal D, or to the flip of
+T D T^-1, T the spec's numeric character matrix on two legs (numpy).
 A word applies letter i as the two-qudit gate R' (or its inverse) to
 strands (i-1, i), through linalg.apply_on_qudits, in written order: the
 first letter is the rightmost factor of the evaluated matrix product.  No
@@ -107,15 +107,8 @@ def check_braid_relations(strands: int, r: BraidedRMatrix, ops=EXACT) -> bool:
         raise ValueError("need at least two strands")
     m = ops.braided(r)
     gens = [_placed(m, r.dimension, i, strands, ops) for i in range(1, strands)]
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            if not ops.equal(gens[i] @ gens[j], gens[j] @ gens[i]):
-                return False
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if not ops.equal(a @ b @ a, b @ a @ b):
-            return False
-    return True
+    far = all(ops.equal(a @ b, b @ a) for i, a in enumerate(gens) for b in gens[i + 2:])
+    return far and all(ops.equal(a @ b @ a, b @ a @ b) for a, b in zip(gens, gens[1:]))
 
 
 def check_braided_ybe(r: BraidedRMatrix, ops=EXACT) -> bool:
@@ -192,9 +185,7 @@ def check_hexagon(u: ModuleAction, v: ModuleAction, w: ModuleAction,
         raise ValueError("module actions live over different specs")
     braided = cache(lambda a, b: ops.matrix(braiding_map(a, b, r)))
     c_uv, c_uw, c_vw = braided(u, v), braided(u, w), braided(v, w)
-    iu = ops.identity(u.dimension)
-    iv = ops.identity(v.dimension)
-    iw = ops.identity(w.dimension)
+    iu, iv, iw = (ops.identity(m.dimension) for m in (u, v, w))
     lhs = ops.kron(c_vw, iu) @ ops.kron(iv, c_uw) @ ops.kron(c_uv, iw)
     rhs = ops.kron(iw, c_uv) @ ops.kron(c_uw, iv) @ ops.kron(iu, c_vw)
     return ops.equal(lhs, rhs)

@@ -137,9 +137,10 @@ CHOICES = {
               "R'", lambda x, ops: x.relations(min(x.strands, 3), x.braided, ops)),
     ), legs=STRANDS, monomial=True),
     "hexagon": Choice((
-        # the braiding intertwines iff r quasi-cocommutes, as rho x rho is faithful (Kassel, VIII)
+        # the braiding intertwines iff r quasi-cocommutes, as rho x rho is faithful (Kassel, VIII),
+        # and R' = P Gamma(R) is invertible iff r's character diagonal has no zero
         Check("module-morphism", "the braiding intertwines the diagonal action and is invertible",
-              "own", lambda x, ops: x.quasi(ops) and ops.invertible(ops.braided(x.own))),
+              "r", lambda x, ops: x.quasi(ops) and ops.invertible(ops.tensor(x.r))),
         # on three copies of one module the hexagon is the braid relation of R' (Kassel, XIII)
         Check("hexagon", "hexagon identity for the braiding on three regular modules",
               "own", lambda x, ops: x.relations(3, x.own, ops)),
@@ -408,7 +409,7 @@ class _Inputs:
     ``own`` is the spec's R', held as its source r, so a backend that lifts
     from r builds no dense matrix for it; the braided checks read
     ``braided``: the --r-matrix file's R', else ``own``.
-    The module morphism and the hexagon always read ``own``.  ``relations``
+    The hexagon always reads ``own``, the module morphism only r.  ``relations``
     and ``quasi`` keep one verdict per backend; neither refers back to the
     inputs, so a command's backends are freed when it returns."""
 
@@ -458,6 +459,11 @@ def cmd_check(args, argv) -> int:
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:
             raise ValueError("imported matrix is not d^2 x d^2")
+        if use_float:  # the float backend lifts every entry to a complex float
+            try:
+                m.to_complex()
+            except OverflowError:
+                raise ValueError(f"{args.r_matrix} holds an entry beyond the float range")
         # every exact path lifts the nonzero entries to Q(zeta_L), L the lcm of their orders
         file_order = math.lcm(*{e.order for e in m.entries if e})
         if file_order > MAX_JSON_ORDER:

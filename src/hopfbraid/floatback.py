@@ -4,8 +4,9 @@
 is written against (see groupalg.ExactAlgebraOps).  A tensor element is
 lifted to the diagonal of its regular image in the character basis, taken
 by numpy's FFT, so tensor products are elementwise; a matrix is lifted to
-a dense numpy complex matrix, and R' built from its source r is the flip
-permutation times r's diagonal, taken back by FFTs (braided_complex), so no
+a dense numpy complex matrix, and R' built from its source r is
+flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal and T the
+spec's numeric character matrix on two legs (braided_complex), so no
 exact matrix is built for it.  Every product and sum is taken in floating
 arithmetic, and equality is an absolute entrywise tolerance (1e-9 by
 default, the arrays stay small).  This is an independent numerical sanity
@@ -28,20 +29,15 @@ def matrix_complex(m: Matrix) -> np.ndarray:
 
 
 def braided_complex(r: TensorElement) -> np.ndarray:
-    """flip . (rho (x) rho)(r) for a two-leg element r, as a dense complex
-    matrix: in the character basis it is P D, D the diagonal
-    tensor_complex(r) gathered by the flip permutation P, as
-    linalg.MonomialOps.braided builds it, taken back to the group basis by
-    F (x) F on the row legs and its inverse on the column legs.  On each
-    axis F[j, c] = zeta^(j c), so F x = n ifft(x) and x F^-1 = fft(x) / n;
-    the scales cancel."""
+    """flip . Gamma(R) for a two-leg element r, as a dense complex matrix:
+    Gamma(R) = T diag(D) T^-1, D = tensor_complex(r), T = F (x) F and F the
+    spec's character matrix (linalg.character_basis on each factor), here d
+    times the inverse FFT of I's columns.  T^-1 = conj(T)^T / d^2."""
     spec, d = r.spec, r.spec.dimension
-    flip = np.arange(d * d).reshape(d, d).T.ravel()
-    pd = np.zeros((d * d, d * d), dtype=complex)
-    pd[np.arange(d * d), flip] = tensor_complex(spec, r)[flip]
-    rows, cols = np.arange(4 * len(spec.orders)).reshape(2, -1)
-    pd = np.fft.fftn(pd.reshape(spec.orders * 4), axes=cols)
-    return np.fft.ifftn(pd, axes=rows).reshape(d * d, d * d)
+    f = np.fft.ifftn(np.eye(d).reshape(spec.orders * 2), axes=range(len(spec.orders)))
+    t = np.kron(f.reshape(d, d), f.reshape(d, d)) * (d * d)
+    gamma = (t * tensor_complex(spec, r)) @ t.conj().T / (d * d)
+    return gamma.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
 
 
 def tensor_complex(spec: GroupSpec, t: TensorElement) -> np.ndarray:
@@ -87,5 +83,7 @@ class NumpyOps:
         return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= self.tol)
 
     def invertible(self, m: np.ndarray) -> bool:
-        # the smallest singular value: |det| of a well-conditioned matrix can be far below tol
-        return bool(np.linalg.svd(m, compute_uv=False)[-1] > self.tol)
+        # the smallest singular value (|det| of a well-conditioned matrix can be far
+        # below tol); a lifted tensor is a diagonal, whose smallest is its least |entry|
+        s = np.abs(m) if m.ndim == 1 else np.linalg.svd(m, compute_uv=False)
+        return bool(s.min() > self.tol)

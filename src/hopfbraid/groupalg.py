@@ -346,7 +346,8 @@ class ExactAlgebraOps:
     * ``matrix(m)``, ``kron(a, b)``, ``identity(n)`` and ``invertible(m)``
       do the same for matrices (see linalg.ExactOps), and ``braided(b)``
       lifts a braidrep.BraidedRMatrix: from its source r on MonomialOps
-      and NumpyOps, through its dense matrix on the others.
+      and NumpyOps, through its dense matrix on the others.  Those two
+      lift a tensor to a diagonal, which their ``invertible`` also takes.
 
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
     the identity, products are taken in the tensor-power algebra (one

@@ -451,13 +451,14 @@ def check_character_basis(n: int, f: Matrix) -> bool:
     conj(F)^T is the character table (the transform with sign -1), F^-1 is
     conj(F)^T / n, and conjugating the regular action by F diagonalises it.
 
-    Given the second identity, F conj(F)^T commutes with rho(g) (the diagonal
-    is unitary), so it is circulant and its first row decides the third."""
-    diag = Matrix(n, n, [root_of_unity(n, -c) if j == c else 0
-                         for j in range(n) for c in range(n)])
-    if f.entries[:n] != [1] * n or cyclic_shift(n) @ f != f @ diag:
+    Row j of rho(g) F is row j - 1 of F, so the second is F[j - 1, c] =
+    F[j, c] zeta_n^(-c) entrywise.  Given it, F conj(F)^T commutes with rho(g)
+    (the diagonal is unitary): it is circulant, its first row decides the third."""
+    e, phases = f.entries, [root_of_unity(n, -c) for c in range(n)]
+    if e[:n] != [1] * n or any(e[(j - 1) % n * n + c] != e[j * n + c] * phases[c]
+                               for j in range(n) for c in range(n)):
         return False
-    first = Matrix(1, n, f.entries[:n]) @ f.conjugate_transpose()
+    first = Matrix(1, n, e[:n]) @ f.conjugate_transpose()
     return first == Matrix(1, n, [n] + [0] * (n - 1))
 
 

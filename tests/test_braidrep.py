@@ -18,6 +18,7 @@ from hopfbraid.braidrep import (
     check_module_morphism,
     evaluate_braid_word,
 )
+from hopfbraid.floatback import NumpyOps
 from hopfbraid.groupalg import (
     GroupSpec,
     TensorElement,
@@ -227,11 +228,14 @@ def _braidings(spec):
 def test_module_morphism_is_quasi_cocommutativity_and_invertibility(spec):
     # check decides the module morphism of R' this way: its braiding commutes
     # with the diagonal action iff r quasi-cocommutes, as rho x rho is faithful
+    # with R' invertible iff r's character diagonal has no zero (P Gamma(R) = P T D T^-1)
     reg = ModuleAction.regular(spec)
     for name, r in _braidings(spec):
         gate = braided_r(spec, r).matrix
         assert check_module_morphism(gate, reg, reg, EXACT) == \
             (check_quasi_cocommutative(spec, r) and EXACT.invertible(gate)), name
+        for ops in (MonomialOps(spec), NumpyOps()):
+            assert ops.invertible(ops.tensor(r)) == EXACT.invertible(gate), (name, ops)
 
 
 def test_check_hexagon_regular_triples():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopfbraid
-from hopfbraid import braidrep, cli, scalar
+from hopfbraid import braidrep, cli, floatback, scalar
 from hopfbraid.braidrep import (BraidedRMatrix, BraidWord, braided_r, check_braid_relations,
                                 evaluate_braid_word)
 from hopfbraid.cli import (CHOICES, MAX_FIELD_WORK, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS,
@@ -441,6 +441,26 @@ def test_r_matrix_that_is_not_json_names_the_file(tmp_path, capsys, content):
                          "--r-matrix", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path} is not JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("orders, side", [("1", 1), ("2", 2)])
+def test_r_matrix_entry_too_large_for_a_float_is_refused_on_the_float_backend(
+        tmp_path, capsys, orders, side):
+    # 10^400 has no complex float: the float lift of the file's R' ended in an
+    # OverflowError traceback, on orders 2 after the first rows had run
+    huge = {"order": 1, "coeffs": [[10 ** 400, 1]]}
+    zero = {"order": 1, "coeffs": [[0, 1]]}
+    n = side * side
+    entries = [huge if i % (n + 1) == 0 else zero for i in range(n * n)]
+    path = _write_r_matrix(tmp_path, {"rows": n, "cols": n, "entries": entries})
+    code, out, err = run(capsys, "check", "--orders", orders, "--which", "all",
+                         "--backend", "float", "--r-matrix", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path} holds an entry beyond the float range\n"
+    # the exact backend decides the same file: a multiple of I solves the braid relation
+    code, out, _ = run(capsys, "check", "--orders", orders, "--which", "braided-ybe",
+                       "--r-matrix", path)
+    assert code == 0 and "check braided-ybe: pass" in out
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
@@ -1009,6 +1029,26 @@ def test_module_morphism_reads_the_quasi_cocommutativity_verdict(monkeypatch, ca
         assert code == 0 and "check module-morphism: pass" in out
         assert len(calls) == 1, backend
         calls.clear()
+
+
+@pytest.mark.parametrize("orders, builds", [("6", 1), ("2,3", 1), ("2", 2)])
+def test_float_check_builds_the_spec_r_prime_once_per_reader(monkeypatch, capsys,
+                                                             orders, builds):
+    # module-morphism reads r's diagonal, so only the braid relation and, at
+    # d = 2, bell-actions lift R'; the module morphism built it once more
+    made, build = [], floatback.braided_complex
+
+    def counted(r):
+        made.append(r)
+        return build(r)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "hopfbraid"]:
+        if getattr(module, "braided_complex", None) is build:
+            monkeypatch.setattr(module, "braided_complex", counted)
+    code, out, _ = run(capsys, "check", "--orders", orders, "--which", "all",
+                       "--backend", "float")
+    assert code == 0 and " 0 fail" in out and "check module-morphism: pass" in out
+    assert len(made) == builds
 
 
 def test_a_command_keeps_no_backend_alive(monkeypatch, capsys):
