@@ -18,6 +18,7 @@ times are only included behind --timings.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -195,8 +196,10 @@ def transform_cells(d: int, which: str, path: str, strands: int = 3,
                     order: int | None = None) -> int:
     """Cost estimate, in integer cells (complex ones for the float FFT), of
     the arrays a check holds off the dense path.  An algebra-level check on
-    the source, monomial or float path transforms the d^3 diagonal entries
-    of a three-leg element, each a vector over at most d powers of zeta.  A
+    the source, monomial or float path is priced at d^4, an upper bound: it
+    transforms two-leg elements (d^2 diagonal entries) and gathers d^3
+    cells of at most phi(L) <= d integers each for R_ij and the coproducts
+    (hopf's float coproducts are three-leg FFTs of d^3 cells).  A
     matrix check on the source path holds weights of its monomial side
     (matrix_entries), each over the phi(order) powers of zeta of R's field
     (order defaults to d, the largest either form of R needs).  0 for every
@@ -280,6 +283,28 @@ def _admit(entries: int, what: str, cells: int = 0, work: int = 0, tensor_ops: i
     if field_ops > MAX_FIELD_WORK:
         raise ValueError(f"{what} would take about {field_ops} cell operations over the "
                          f"field of the --r-matrix file, above the limit of {MAX_FIELD_WORK}")
+
+
+def _admit_float_file(m: Matrix, d: int, path: str):
+    """Refuse an --r-matrix file of local dimension d that the float backend
+    cannot hold: an entry with no finite complex float, or entries whose
+    products may leave the float range.  An entry of a product of the
+    three-strand relation (side n = d^3) sums n^2 products of three entries,
+    so it is at most n^2 M^3, M the largest |entry|; equality takes the
+    difference of two, at most twice that."""
+    try:
+        values = [z for row in m.to_complex() for z in row]
+    except OverflowError:
+        values = [complex(math.inf)]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{path} holds an entry beyond the float range")
+    try:
+        bound = 2 * d ** 6 * max(map(abs, values), default=0.0) ** 3
+    except OverflowError:
+        bound = math.inf
+    if bound > sys.float_info.max:
+        raise ValueError(f"{path} holds entries whose products on three strands would leave "
+                         f"the float range")
 
 
 class Report:
@@ -459,11 +484,8 @@ def cmd_check(args, argv) -> int:
         side = round(m.rows ** 0.5)
         if side * side != m.rows or m.rows != m.cols:
             raise ValueError("imported matrix is not d^2 x d^2")
-        if use_float:  # the float backend lifts every entry to a complex float
-            try:
-                m.to_complex()
-            except OverflowError:
-                raise ValueError(f"{args.r_matrix} holds an entry beyond the float range")
+        if use_float:
+            _admit_float_file(m, side, args.r_matrix)
         # every exact path lifts the nonzero entries to Q(zeta_L), L the lcm of their orders
         file_order = math.lcm(*{e.order for e in m.entries if e})
         if file_order > MAX_JSON_ORDER:

@@ -3,7 +3,9 @@
 ``NumpyOps`` is the numpy side of the backend protocol that every checker
 is written against (see groupalg.ExactAlgebraOps).  A tensor element is
 lifted to the diagonal of its regular image in the character basis, taken
-by numpy's FFT, so tensor products are elementwise; a matrix is lifted to
+by numpy's FFT, so tensor products are elementwise, and R_ij and
+coproducts are gathers of it (linalg's index arrays: the FFT's layout and
+sign are MonomialOps.tensor's); a matrix is lifted to
 a dense numpy complex matrix, and R' built from its source r is
 flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal and T the
 spec's numeric character matrix on two legs (braided_complex), so no
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupalg import GroupSpec, TensorElement
-from .linalg import Matrix
+from .linalg import Matrix, coproduct_gather, embedding_gather
 
 DEFAULT_TOL = 1e-9
 
@@ -69,6 +71,12 @@ class NumpyOps:
         """A braidrep.BraidedRMatrix: built from its source when it has one
         (braided_complex), so no exact matrix is built, else its matrix lifted."""
         return matrix_complex(b.matrix) if b.source is None else braided_complex(b.source)
+
+    def embed(self, t: TensorElement, legs: int, positions) -> np.ndarray:
+        return self.tensor(t)[embedding_gather(t, legs, positions)]
+
+    def coproduct_on_leg(self, t: TensorElement, leg: int) -> np.ndarray:
+        return self.tensor(t)[coproduct_gather(t, leg)]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b

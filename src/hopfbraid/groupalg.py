@@ -244,13 +244,20 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
 # -- leg operations on tensor elements ---------------------------------
 
 
-def leg_embedding(t: TensorElement, legs: int, positions: tuple[int, int]) -> TensorElement:
-    """Embed a two-leg element into a larger power, unit on the other legs."""
+def _embedding_positions(t: TensorElement, legs: int, positions) -> tuple[int, int]:
+    """The positions (i, j) of a two-leg t in a power of ``legs`` legs,
+    checked to be increasing and in range."""
     if t.legs != 2:
         raise ValueError("only two-leg elements can be embedded this way")
     i, j = positions
     if not (0 <= i < j < legs):
         raise ValueError("leg positions must be increasing and in range")
+    return i, j
+
+
+def leg_embedding(t: TensorElement, legs: int, positions: tuple[int, int]) -> TensorElement:
+    """Embed a two-leg element into a larger power, unit on the other legs."""
+    i, j = _embedding_positions(t, legs, positions)
     ident = t.spec.identity
     out = {}
     for (a, b), c in t.terms.items():
@@ -343,6 +350,12 @@ class ExactAlgebraOps:
 
     * ``tensor(t)`` lifts a TensorElement, ``mul(a, b)`` multiplies two
       lifted tensors, ``equal(a, b)`` compares two lifted objects;
+    * ``embed(t, legs, positions)`` and ``coproduct_on_leg(t, leg)`` take
+      an unlifted t and return the lifted ``leg_embedding`` and
+      ``coproduct_on_leg`` of it: here those maps themselves, on
+      MonomialOps and NumpyOps a gather of ``tensor(t)`` by an index array
+      (linalg.embedding_gather, linalg.coproduct_gather), so no element of
+      more legs than t is transformed;
     * ``matrix(m)``, ``kron(a, b)``, ``identity(n)`` and ``invertible(m)``
       do the same for matrices (see linalg.ExactOps), and ``braided(b)``
       lifts a braidrep.BraidedRMatrix: from its source r on MonomialOps
@@ -366,6 +379,12 @@ class ExactAlgebraOps:
     def mul(self, a: TensorElement, b: TensorElement) -> TensorElement:
         return a * b
 
+    def embed(self, t: TensorElement, legs: int, positions) -> TensorElement:
+        return leg_embedding(t, legs, positions)
+
+    def coproduct_on_leg(self, t: TensorElement, leg: int) -> TensorElement:
+        return coproduct_on_leg(t, leg)
+
     def equal(self, a, b) -> bool:
         return a == b
 
@@ -380,7 +399,7 @@ def _require_two_legs(spec: GroupSpec, r: TensorElement):
 
 def _three_leg_embeddings(r: TensorElement, ops):
     """Lifted R12, R13, R23."""
-    return tuple(ops.tensor(leg_embedding(r, 3, pos)) for pos in ((0, 1), (0, 2), (1, 2)))
+    return tuple(ops.embed(r, 3, pos) for pos in ((0, 1), (0, 2), (1, 2)))
 
 
 def check_quasi_cocommutative(spec: GroupSpec, r: TensorElement,
@@ -402,8 +421,8 @@ def check_quasitriangular(spec: GroupSpec, r: TensorElement, ops=EXACT_ALGEBRA) 
     (D x id)(R) = R13 R23 and (id x D)(R) = R13 R12, in three legs."""
     _require_two_legs(spec, r)
     r12, r13, r23 = _three_leg_embeddings(r, ops)
-    return (ops.equal(ops.tensor(coproduct_on_leg(r, 0)), ops.mul(r13, r23))
-            and ops.equal(ops.tensor(coproduct_on_leg(r, 1)), ops.mul(r13, r12)))
+    return (ops.equal(ops.coproduct_on_leg(r, 0), ops.mul(r13, r23))
+            and ops.equal(ops.coproduct_on_leg(r, 1), ops.mul(r13, r12)))
 
 
 def check_algebraic_ybe(spec: GroupSpec, r: TensorElement, ops=EXACT_ALGEBRA) -> bool:

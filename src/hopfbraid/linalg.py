@@ -33,10 +33,13 @@ every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
 ``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``_transform``
 is the one change to the character basis: a product on each axis by a
 basis that MonomialOps has checked, for its diagonals and certificates;
-no transform runs on an unchecked basis.  ``IntegerMatrix.from_entries``
-is the one lift of values to integer terms over the powers of zeta_L,
-``_reduce`` the one reduction of such vectors by the residue table and
-``IntegerMatrix._combine`` the one product of integer arrays; the
+no transform runs on an unchecked basis.  ``embedding_gather`` and
+``coproduct_gather`` are the one index arithmetic on such diagonals: the
+R_ij and coproducts of MonomialOps and floatback.NumpyOps are gathers.
+``IntegerMatrix.from_entries`` is the one lift of values to integer terms
+over the powers of zeta_L, ``_reduce`` the one reduction of such vectors
+by the residue table and ``IntegerMatrix._combine`` the one product of
+integer arrays; the
 transform, IntegerMatrix and MonomialMatrix share them.
 ``scalar._row_reduce`` is the one elimination: inverse, rank and field
 descent all call it.  It takes the first nonzero pivot in each column;
@@ -54,7 +57,7 @@ from operator import add
 import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
-                       _accumulate, as_single_leg)
+                       _accumulate, _embedding_positions, as_single_leg)
 from .scalar import (CyclotomicNumber, _canonical, _degree, _residues, _row_reduce, as_scalar,
                      rational, root_of_unity)
 
@@ -462,6 +465,34 @@ def check_character_basis(n: int, f: Matrix) -> bool:
     return first == Matrix(1, n, [n] + [0] * (n - 1))
 
 
+def embedding_gather(t: TensorElement, legs: int, positions) -> np.ndarray:
+    """The index array that takes the character-basis diagonal of a two-leg
+    t to that of leg_embedding(t, legs, positions).  Every character is 1
+    on the identity, so entry (c_1, ..., c_legs) of the embedding is t's
+    entry (c_i, c_j): a broadcast of t's d x d indices."""
+    i, j = _embedding_positions(t, legs, positions)
+    d = t.spec.dimension
+    shape = [1] * legs
+    shape[i] = shape[j] = d
+    return np.broadcast_to(np.arange(d * d).reshape(shape), (d,) * legs).ravel()
+
+
+def coproduct_gather(t: TensorElement, leg: int) -> np.ndarray:
+    """The index array that takes the character-basis diagonal of t to that
+    of coproduct_on_leg(t, leg).  A group-like g^a has chi_c(g^a) chi_c'(g^a)
+    = chi_(c+c')(g^a), so entry (..., c, c', ...) of the coproduct is t's
+    entry (..., c + c', ...) under the dual group's law: digitwise mod n_i,
+    the first factor the most significant digit, as in the spec's basis."""
+    if not 0 <= leg < t.legs:
+        raise ValueError(f"leg {leg} is not one of the {t.legs} legs")
+    law = np.zeros((1, 1), dtype=np.intp)  # law[c, c'] = index of c + c'
+    for n in t.spec.orders:
+        a = np.arange(n)
+        law = (law[:, None, :, None] * n + (a[:, None, None] + a) % n).reshape(len(law) * n, -1)
+    d = t.spec.dimension
+    return np.arange(d ** t.legs).reshape(d ** leg, d, -1)[:, law].ravel()
+
+
 def _transform(x: "IntegerMatrix", bases, scale: int = 1) -> "IntegerMatrix":
     """x's entries, read row-major as an array with one axis per basis (the
     first most significant), multiplied on every axis by its basis:
@@ -835,9 +866,10 @@ class MonomialOps(ExactOps):
     is a product by F^T or conj(F)^T on each leg (``_transform``), so no
     scalar is made.  ``tensor`` takes a k-leg element t to the diagonal of
     F^(-k) rho^(x)k(t) F^(k), its coefficients multiplied by conj(F)^T on
-    every leg; a leg on which every term is the identity contributes 1 and
-    is broadcast, not transformed.  ``mul`` of two diagonals is then a
-    pointwise product of integer arrays.  ``matrix`` takes a d^k x d^k
+    every leg.  ``embed`` and ``coproduct_on_leg`` transform no element of
+    more legs: they gather ``tensor(t)``'s weights (embedding_gather,
+    coproduct_gather).  ``mul`` of two diagonals is then a pointwise
+    product of integer arrays.  ``matrix`` takes a d^k x d^k
     matrix m (k <= 2) to F^(-k) m F^(k), m multiplied by conj(F)^T / d on
     each row leg and by F^T on each column leg, and raises NotMonomialError
     unless that product (the certificate) is monomial.  ``braided`` takes a
@@ -889,23 +921,28 @@ class MonomialOps(ExactOps):
         return self._cached(key, lambda: self._diagonal(t))
 
     def _diagonal(self, t: TensorElement) -> MonomialMatrix:
-        d, orders, ident = self.dimension, self.spec.orders, self.spec.identity
-        active = [leg for leg in range(t.legs) if any(key[leg] != ident for key in t.terms)]
+        size, orders = self.dimension ** t.legs, self.spec.orders * t.legs
         entries = []
         for key, c in t.terms.items():
             flat = 0
-            for leg in active:
-                for e, n in zip(key[leg], orders):
-                    flat = flat * n + e
+            for e, n in zip(itertools.chain.from_iterable(key), orders):
+                flat = flat * n + e
             entries.append((flat, c))
-        x = IntegerMatrix.from_entries(1, d ** len(active), entries)
-        x = _transform(x, [self._table] * len(active))
-        # diagonal index (c_1, ..., c_k) -> index of its active legs' characters
-        grid = np.arange(d ** len(active)).reshape([d if leg in active else 1
-                                                    for leg in range(t.legs)])
-        spread = np.broadcast_to(grid, (d,) * t.legs).ravel()
-        return MonomialMatrix(np.arange(d ** t.legs),
-                              IntegerMatrix(x.order, x.nums[:, :, spread], x.den))
+        x = IntegerMatrix.from_entries(1, size, entries)
+        return MonomialMatrix(np.arange(size), _transform(x, [self._table] * t.legs))
+
+    def _gathered(self, t: TensorElement, index, perm=None) -> MonomialMatrix:
+        """tensor(t)'s weights gathered by an index array, on the permutation
+        perm (by default none: a diagonal)."""
+        w = self.tensor(t)._weights
+        return MonomialMatrix(np.arange(len(index)) if perm is None else perm,
+                              IntegerMatrix(w.order, w.nums[:, :, index], w.den))
+
+    def embed(self, t: TensorElement, legs: int, positions) -> MonomialMatrix:
+        return self._gathered(t, embedding_gather(t, legs, positions))
+
+    def coproduct_on_leg(self, t: TensorElement, leg: int) -> MonomialMatrix:
+        return self._gathered(t, coproduct_gather(t, leg))
 
     def mul(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a @ b
@@ -934,8 +971,7 @@ class MonomialOps(ExactOps):
             return self.matrix(b.matrix)
         d = self.dimension
         flip = np.arange(d * d).reshape(d, d).T.ravel()
-        w = self.tensor(r)._weights
-        return MonomialMatrix(flip, IntegerMatrix(w.order, w.nums[:, :, flip], w.den))
+        return self._gathered(r, flip, flip)
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a.kron(b)

@@ -463,6 +463,46 @@ def test_r_matrix_entry_too_large_for_a_float_is_refused_on_the_float_backend(
     assert code == 0 and "check braided-ybe: pass" in out
 
 
+@pytest.mark.parametrize("order, coeffs, message", [
+    # |entry| = sqrt(3) 10^308 is a float, its cube is not
+    (3, [[10 ** 308, 1], [-10 ** 308, 1]],
+     "holds entries whose products on three strands would leave the float range"),
+    # each power term is a float, their sum 2.5 10^308 + ... is not
+    (6, [[15 * 10 ** 307, 1], [10 ** 308, 1]], "holds an entry beyond the float range"),
+])
+def test_r_matrix_whose_products_leave_the_float_range_is_refused(
+        tmp_path, capsys, order, coeffs, message):
+    # the float backend printed numpy's overflow warnings and reported fail (exit 1)
+    entry = {"order": order, "coeffs": coeffs}
+    path = _write_r_matrix(tmp_path, {"rows": 1, "cols": 1, "entries": [entry]})
+    code, out, err = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",
+                         "--backend", "float", "--r-matrix", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path} {message}\n"
+    # the exact backend decides it: every 1 x 1 R' solves the braid relation
+    code, out, _ = run(capsys, "check", "--orders", "1", "--which", "braided-ybe",
+                       "--r-matrix", path)
+    assert code == 0 and "check braided-ybe: pass" in out
+
+
+def test_gen_r_files_stay_inside_the_float_range(tmp_path, capsys):
+    # entry ((x, y), (x', y')) of Gamma(R) is r's coefficient at (x - x', y - y'),
+    # so R' = flip . Gamma(R) holds r's coefficients and zeros: the float range
+    # admits r's coefficients up to d = 16, and gen-r's own files up to d = 6
+    for spec in specs_up_to(16):
+        for form in (universal_r_fused_phase, universal_r):
+            coeffs = list(form(spec).terms.values())
+            cli._admit_float_file(Matrix(1, len(coeffs), coeffs), spec.dimension, "r")
+        if spec.dimension <= 6:
+            orders = ",".join(map(str, spec.orders))
+            path = _gen_r_file(capsys, tmp_path, orders)
+            m = matrix_from_json(json.loads(Path(path).read_text()))
+            assert all(e.is_zero or e in coeffs for e in m.entries), orders
+            code, out, _ = run(capsys, "check", "--orders", orders, "--which", "braided-ybe",
+                               "--backend", "float", "--r-matrix", path)
+            assert code == 0 and "check braided-ybe: pass" in out, orders
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
 def test_tolerance_that_decides_nothing_exits_two(capsys, tolerance):
     # inf passed a wrong R' on the float backend; nan and -1 failed every check
