@@ -14,10 +14,13 @@ linalg.MonomialOps and floatback.NumpyOps lift r itself: to the flip
 permutation times r's exact character-basis diagonal D, or to the flip of
 T D T^-1, T the spec's numeric character matrix on two legs (numpy).
 A word applies letter i as the two-qudit gate R' (or its inverse) to
-strands (i-1, i), through linalg.apply_on_qudits, in written order: the
-first letter is the rightmost factor of the evaluated matrix product.  No
-generator is built, and the word's d^N x d^N matrix only when it is asked
-for.  Modules are linalg.ModuleAction objects, re-exported here.
+strands (i-1, i), in written order: the first letter is the rightmost
+factor of the evaluated matrix product.  The columns, R' and R'^-1 are
+lifted to IntegerMatrix once, each letter is one integer-array product
+(linalg.apply_on_qudits: a batched matmul of R' over the columns reshaped
+to (d^(i-1), d^2, rest)), and the result is lowered once.  No generator
+is built, and the word's d^N x d^N matrix only when it is asked for.
+Modules are linalg.ModuleAction objects, re-exported here.
 check_hexagon braids each distinct pair of its modules once
 (braiding_map), so on three copies of one module it builds a single R'.
 """
@@ -30,6 +33,7 @@ from functools import cache, cached_property
 from .groupalg import GroupSpec, TensorElement, universal_r
 from .linalg import (
     EXACT,
+    IntegerMatrix,
     Matrix,
     ModuleAction,
     _action_image,
@@ -139,14 +143,21 @@ def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix,
     written order: the first letter hits the columns first, i.e. it is the
     rightmost factor of the word's matrix.  With columns None they are the
     identity, so the result is the word's matrix; the empty word returns
-    the columns unchanged."""
+    the columns unchanged.  Otherwise the columns, R' and (for a word with
+    a negative letter) R'^-1 are lifted to IntegerMatrix once, each letter
+    is one integer-array product, and the result is lowered once: all its
+    entries at one order, its zeros written as rational(0)."""
     d, n = r.dimension, word.strands
-    acc = Matrix.identity(d ** n) if columns is None else columns
-    inverse = invert_matrix(r.matrix) if any(x < 0 for x in word.letters) else None
+    if not word.letters:
+        return Matrix.identity(d ** n) if columns is None else columns
+    lift = IntegerMatrix.from_matrix
+    acc = IntegerMatrix.identity(d ** n) if columns is None else lift(columns)
+    gate = lift(r.matrix)
+    inverse = lift(invert_matrix(r.matrix)) if any(x < 0 for x in word.letters) else None
     for letter in word.letters:
-        gate = r.matrix if letter > 0 else inverse
-        acc = apply_on_qudits(gate, acc, d, n, (abs(letter) - 1, abs(letter)))
-    return acc
+        acc = apply_on_qudits(gate if letter > 0 else inverse, acc, d, n,
+                              (abs(letter) - 1, abs(letter)))
+    return acc.to_matrix()
 
 
 def braiding_map(v: ModuleAction, w: ModuleAction, r: TensorElement) -> Matrix:

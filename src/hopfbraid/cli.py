@@ -160,8 +160,8 @@ MAX_MATRIX_ENTRIES = 1 << 18
 # ... and no character transform of more than this many integer cells
 # (orders of dimension up to 26 for the algebra-level checks).
 MAX_TRANSFORM_CELLS = 1 << 19
-# ... and no braid command of more than this many exact scalar operations
-# (about ten seconds of them).
+# ... and no braid command of more than this much work in braid_work's units
+# (an upper bound since letters run as integer-array products).
 MAX_BRAID_WORK = 1 << 24
 # ... and no exact hopf check of more than this many tensor-element
 # operations (about 3 us each, so about seven seconds of them).
@@ -239,13 +239,16 @@ def tensor_work(d: int, which: str, path: str) -> int:
 
 
 def braid_work(d: int, word: BraidWord, output: bool, state: bool) -> int:
-    """Cost estimate of ``braid`` in exact scalar operations.  A letter
-    costs d^(N+2) products per column it acts on: the state's one and the
-    word matrix's d^N.  Inverting R' costs about 2 d^6.  The Schmidt rank
-    across cut c row-reduces a d^c x d^(N-c) matrix of rank k at about
-    d^N (1 + k) operations, where k <= d^(2m) for the m letters that act
-    across the cut (the input state has rank 1, or is two qubits).  The
-    caller admits N (_admit_strands) first."""
+    """Cost estimate of ``braid`` in exact scalar operations.  A letter is
+    priced at d^(N+2) scalar products per column it acts on (the state's
+    one and the word matrix's d^N).  A letter runs as one integer-array
+    product of R' over the lifted columns, so that price is an upper bound
+    on its work; it stays until a timed grid of braid commands measures
+    a new one.  Inverting R' costs about 2 d^6.  The Schmidt rank across
+    cut c row-reduces a d^c x d^(N-c) matrix of rank k at about d^N (1 + k)
+    operations, where k <= d^(2m) for the m letters that act across the
+    cut (the input state has rank 1, or is two qubits).  The caller admits
+    N (_admit_strands) first."""
     n = word.strands
     size = d ** n
     work = len(word.letters) * d ** (n + 2) * ((size if output else 0) + (1 if state else 0))

@@ -29,11 +29,13 @@ builds each shift permutation on first read.  ``_action_image`` is the
 one action routine: every module image (``on_element``, ``on_tensor``)
 and every braiding map (braidrep) is the matrix of a tensor element
 acting on a tensor product of modules.  ``apply_on_qudits`` places
-every gate on chosen qudits (braid words, ``quantum.apply_gate``), and its
-``digit_offsets`` also lay out ``quantum.schmidt_rank``.  ``_transform``
-is the one change to the character basis: a product on each axis by a
-basis that MonomialOps has checked, for its diagonals and certificates;
-no transform runs on an unchecked basis.  ``embedding_gather`` and
+every gate on chosen qudits: on lifted IntegerMatrix columns for braid
+words, one batched product per letter, and on dense Matrix columns for
+``quantum.apply_gate``.  Its ``digit_offsets`` also lay out
+``quantum.schmidt_rank``.  ``_transform`` is the one change to the
+character basis: a product on each axis by a basis that MonomialOps has
+checked, for its diagonals and certificates; no transform runs on an
+unchecked basis.  ``embedding_gather`` and
 ``coproduct_gather`` are the one index arithmetic on such diagonals: the
 R_ij and coproducts of MonomialOps and floatback.NumpyOps are gathers.
 ``IntegerMatrix.from_entries`` is the one lift of values to integer terms
@@ -102,6 +104,22 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
+
+    def _gather(self, index) -> "Matrix":
+        """The matrix of index's shape whose entry (i, j) is this one's entry
+        at row-major position index[i, j]."""
+        entries = self.entries
+        return Matrix(*index.shape, [entries[k] for k in index.ravel().tolist()])
+
+    def _on_blocks(self, columns: "Matrix", count: int) -> "Matrix":
+        """(I_count (x) self (x) I_m) @ columns: self times each of count
+        stacked blocks of columns' rows, a block read row-major as a
+        self.cols-row matrix (apply_on_qudits)."""
+        step, entries = len(columns.entries) // count, columns.entries
+        out = []
+        for b in range(0, len(entries), step):
+            out += (self @ Matrix(self.cols, step // self.cols, entries[b:b + step])).entries
+        return Matrix(columns.rows, columns.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -207,28 +225,31 @@ def digit_offsets(d: int, n: int, positions) -> list[int]:
     return offsets
 
 
-def apply_on_qudits(gate: Matrix, columns: Matrix, d: int, n: int, positions) -> Matrix:
-    """The d^k x d^k gate applied to k qudit positions (the first one the
-    gate's most significant digit) of each column of a d^n-row matrix: the
-    placed gate's product with columns, summed in that product's order with
-    its zero terms skipped, so scalar for scalar, but never built."""
-    size, width = gate.cols, columns.cols
-    if gate.rows != size or size != d ** len(positions) or columns.rows != d ** n:
+def apply_on_qudits(gate, columns, d: int, n: int, positions):
+    """The d^k x d^k gate applied to k distinct qudit positions (the first
+    one the gate's most significant digit) of each column of a d^n-row
+    matrix, without building the placed gate.  On adjacent positions in
+    order, p the first, it is I_(d^p) (x) gate (x) I, one ``_on_blocks``
+    product: the gate times each of d^p stacked blocks of rows.  Other
+    positions are gathered to the front first (rows laid out by
+    digit_offsets) and gathered back after.  gate and columns are both
+    Matrix, where the blocks are dense products, so the result is the placed
+    gate's product scalar for scalar; or both IntegerMatrix, where it is one
+    integer-array product of batched matmuls (braid words)."""
+    positions = tuple(positions)
+    size, width, k = gate.cols, columns.cols, len(positions)
+    if gate.rows != size or size != d ** k or columns.rows != d ** n:
         raise ValueError("gate shape does not match the targeted qudits")
-    # offsets in entries of the row-major columns
-    targets = [t * width for t in digit_offsets(d, n, positions)]
-    rest = [b * width for b in digit_offsets(d, n, (p for p in range(n) if p not in positions))]
-    gate_rows = [[(t, g) for t, g in zip(targets, gate.entries[r * size:(r + 1) * size])
-                  if not g.is_zero] for r in range(size)]
-    src = columns.entries
-    out = [rational(0)] * len(src)
-    for base in rest:
-        for j in range(base, base + width):
-            for target, terms in zip(targets, gate_rows):
-                products = [g * x for offset, g in terms if not (x := src[j + offset]).is_zero]
-                if products:
-                    out[j + target] = sum(products[1:], products[0])
-    return Matrix(columns.rows, width, out)
+    if len(set(positions)) != k or not set(positions) <= set(range(n)):
+        raise ValueError("positions must be distinct qudits in range")
+    first = positions[0] if positions else 0
+    if d == 1 or positions == tuple(range(first, first + k)):
+        return gate._on_blocks(columns, d ** first)
+    rows = np.add.outer(digit_offsets(d, n, positions),
+                        digit_offsets(d, n, (p for p in range(n) if p not in positions)))
+    front = rows.reshape(-1, 1) * width + np.arange(width)  # a permutation of the cells
+    back = np.argsort(front, axis=None).reshape(front.shape)
+    return gate._on_blocks(columns._gather(front), 1)._gather(back)
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:
@@ -645,6 +666,18 @@ class IntegerMatrix:
     @property
     def cols(self) -> int:
         return self.nums.shape[2]
+
+    def _gather(self, index) -> "IntegerMatrix":
+        """As Matrix._gather: entry (i, j) is this one's at position index[i, j]."""
+        return IntegerMatrix(self.order, self.nums.reshape(len(self.nums), -1)[:, index],
+                             self.den)
+
+    def _on_blocks(self, columns: "IntegerMatrix", count: int) -> "IntegerMatrix":
+        """As Matrix._on_blocks, in one product: each pair of power slots is a
+        batched matmul of self over the columns reshaped to (count, cols, -1)."""
+        shape, size = columns.nums.shape[1:], self.cols
+        return self._combine(columns, lambda g, x: (g @ x.reshape(count, size, -1)).reshape(shape),
+                             shape, size)
 
     def to_matrix(self) -> Matrix:
         """The entries as values, each distinct numerator vector made once."""

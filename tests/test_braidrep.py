@@ -137,6 +137,37 @@ def test_evaluate_braid_word_concatenation():
         assert combined == split
 
 
+# specs of the dense-oracle comparison, each on 2 to 4 strands wherever d^N <= 64
+ORACLE_CASES = [(orders, strands)
+                for orders in ((1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3))
+                for strands in (2, 3, 4) if GroupSpec(orders).dimension ** strands <= 64]
+
+
+@pytest.mark.parametrize("orders,strands", ORACLE_CASES,
+                         ids=[f"{','.join(map(str, o))}-on-{n}" for o, n in ORACLE_CASES])
+def test_word_equals_the_product_of_dense_generators(orders, strands):
+    # letters run on lifted integer arrays; the oracle multiplies the dense
+    # EXACT generators, R'^-1 by Gauss-Jordan, first letter on the right
+    r = braided_r(GroupSpec(orders))
+    d = r.dimension
+    inverse = BraidedRMatrix(d, invert_matrix(r.matrix))
+    rng = random.Random(27 * strands + d)
+    letters = [rng.randint(1, strands - 1) for _ in range(6)]
+    letters[1:4] = [-x for x in letters[1:4]]
+    rng.shuffle(letters)
+    word = BraidWord(strands, letters)
+    digits = [rng.randrange(d) for _ in range(strands)]
+    columns = [None, Matrix(d ** strands, 1, StateVector.computational(d, digits).amps)]
+    if d == 2 and strands == 2:  # order-8 amplitudes against an order-2 gate
+        columns += [Matrix(4, 1, bell_state(kind).amps) for kind in BELL_KINDS]
+    for c in columns:
+        expected = Matrix.identity(d ** strands) if c is None else c
+        for letter in letters:
+            gate = r if letter > 0 else inverse
+            expected = braid_generator(abs(letter), strands, gate) @ expected
+        assert evaluate_braid_word(word, r, c) == expected, (letters, c)
+
+
 def test_braid_word_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (0,))

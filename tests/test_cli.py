@@ -12,12 +12,13 @@ import pytest
 
 import hopfbraid
 from hopfbraid import braidrep, cli, floatback, scalar
-from hopfbraid.braidrep import (BraidedRMatrix, BraidWord, braided_r, check_braid_relations,
-                                evaluate_braid_word)
+from hopfbraid.braidrep import (BraidedRMatrix, BraidWord, braid_generator, braided_r,
+                                check_braid_relations, evaluate_braid_word)
 from hopfbraid.cli import (CHOICES, MAX_FIELD_WORK, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS,
                            field_work, main, matrix_entries, transform_cells)
 from hopfbraid.groupalg import GroupSpec, specs_up_to, universal_r, universal_r_fused_phase
-from hopfbraid.linalg import INTEGER, Matrix, MonomialOps, matrix_from_json, matrix_to_json
+from hopfbraid.linalg import (INTEGER, Matrix, MonomialOps, invert_matrix, matrix_from_json,
+                              matrix_to_json)
 from hopfbraid.quantum import StateVector, bell_matrix, kauffman_lomonaco_r
 
 
@@ -219,6 +220,21 @@ def test_braid_empty_word_is_identity(tmp_path, capsys):
                        "--word", "", "--output", str(path))
     assert code == 0
     assert matrix_from_json(json.loads(path.read_text())) == Matrix.identity(4)
+
+
+def test_braid_output_writes_every_zero_at_order_one(tmp_path, capsys):
+    # the word's 32 zeros are written as gen-r and flip_rows write a zero
+    path = tmp_path / "word.json"
+    assert run(capsys, "braid", "--orders", "2", "--strands", "3", "--word=1,2,-1",
+               "--output", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    zeros = [e for e in data["entries"] if not any(num for num, _ in e["coeffs"])]
+    assert len(zeros) == 32
+    assert all(e == {"order": 1, "coeffs": [[0, 1]]} for e in zeros)
+    r = braided_r(GroupSpec((2,)))
+    inverse = BraidedRMatrix(2, invert_matrix(r.matrix))
+    expected = braid_generator(1, 3, inverse) @ braid_generator(2, 3, r) @ braid_generator(1, 3, r)
+    assert matrix_from_json(data) == expected
 
 
 def test_braid_state_action(capsys):

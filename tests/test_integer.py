@@ -101,6 +101,19 @@ def test_equality_matches_the_oracle(a, data):
     assert lifted(a) != lifted(Matrix(a.rows, a.cols, changed))
 
 
+@given(st.data())
+def test_gate_on_qudits_matches_the_oracle(data):
+    # apply_on_qudits on lifted operands, at adjacent, spread and reordered
+    # positions, against its dense Matrix form: the same values
+    d, n = data.draw(st.sampled_from(((2, 3), (3, 2), (2, 4))))
+    positions = data.draw(st.permutations(range(n)).map(tuple))[:data.draw(st.integers(1, 2))]
+    size = d ** len(positions)
+    gate = data.draw(matrices(rows=size, cols=size))
+    columns = data.draw(matrices(rows=d ** n))
+    applied = linalg.apply_on_qudits(lifted(gate), lifted(columns), d, n, positions)
+    assert applied.to_matrix() == linalg.apply_on_qudits(gate, columns, d, n, positions)
+
+
 def test_each_integer_type_is_reached_and_exact(monkeypatch):
     chosen = []
     pick = linalg._exact_dtype

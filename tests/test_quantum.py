@@ -6,7 +6,7 @@ import pytest
 
 from hopfbraid.braidrep import BraidedRMatrix, braided_r, check_braided_ybe
 from hopfbraid.groupalg import GroupSpec
-from hopfbraid.linalg import Matrix, conjugate_transpose, flip_operator
+from hopfbraid.linalg import Matrix, apply_on_qudits, conjugate_transpose, flip_operator
 from hopfbraid.quantum import (
     BELL_KINDS,
     INV_SQRT2,
@@ -63,6 +63,23 @@ def test_apply_gate_validation():
         apply_gate(Matrix.identity(4), s, targets=(0, 0))
     with pytest.raises(ValueError):
         apply_gate(Matrix.identity(4), s, targets=(0, 2))
+
+
+def test_apply_gate_on_reordered_targets():
+    # targets (2, 0): qudit 2 is the gate's most significant digit, so |b0 b1 b2>
+    # goes to sum over (x2, x0) of gate[(x2, x0), (b2, b0)] |x0 b1 x2>
+    gate = Matrix(4, 4, range(1, 17))
+    for digits in product(range(2), repeat=3):
+        b0, b1, b2 = digits
+        expected = [0] * 8
+        for x2, x0 in product(range(2), repeat=2):
+            expected[4 * x0 + 2 * b1 + x2] = gate[2 * x2 + x0, 2 * b2 + b0]
+        image = apply_gate(gate, StateVector.computational(2, digits), targets=(2, 0))
+        assert image == StateVector(2, 3, expected), digits
+    with pytest.raises(ValueError):
+        apply_gate(gate, StateVector.computational(2, "000"), targets=(2, 2))
+    with pytest.raises(ValueError, match="distinct"):
+        apply_on_qudits(gate, Matrix(8, 1, range(8)), 2, 3, (2, 2))
 
 
 def test_braided_gate_bell_actions_exact():
