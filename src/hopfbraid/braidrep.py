@@ -142,12 +142,15 @@ def evaluate_braid_word(word: BraidWord, r: BraidedRMatrix,
     """The word applied to columns (d^strands rows each), letters in
     written order: the first letter hits the columns first, i.e. it is the
     rightmost factor of the word's matrix.  With columns None they are the
-    identity, so the result is the word's matrix; the empty word returns
-    the columns unchanged.  Otherwise the columns, R' and (for a word with
+    identity, so the result is the word's matrix; columns of another row
+    count raise ValueError, and the empty word returns the columns
+    unchanged.  Otherwise the columns, R' and (for a word with
     a negative letter) R'^-1 are lifted to IntegerMatrix once, each letter
     is one integer-array product, and the result is lowered once: all its
     entries at one order, its zeros written as rational(0)."""
     d, n = r.dimension, word.strands
+    if columns is not None and columns.rows != d ** n:
+        raise ValueError(f"columns need {d ** n} rows for {n} strands at d = {d}")
     if not word.letters:
         return Matrix.identity(d ** n) if columns is None else columns
     lift = IntegerMatrix.from_matrix

@@ -625,9 +625,10 @@ def cmd_compare_gates(args, argv) -> int:
         ("kl(1,-1,1,1)", kauffman_lomonaco_r(1, -1, 1, 1)),
         ("bell-matrix", bell_matrix()),
     ]:
-        ybe = "pass" if check_braid_relations(3, BraidedRMatrix(2, matrix)) else "fail"
-        unitary = "yes" if matrix @ conjugate_transpose(matrix) == Matrix.identity(4) else "no"
-        bell = "yes" if check_bell_actions(matrix) else "no"
+        ybe = "pass" if check_braid_relations(3, BraidedRMatrix(2, matrix), INTEGER) else "fail"
+        m, dagger = INTEGER.matrix(matrix), INTEGER.matrix(conjugate_transpose(matrix))
+        unitary = "yes" if m @ dagger == INTEGER.identity(4) else "no"
+        bell = "yes" if check_bell_actions(matrix, INTEGER) else "no"
         value = concurrence(apply_gate(matrix, probe))
         report.add_info(f"{name:<16} {ybe:<12} {unitary:<8} {bell:<11} {value:.6f}")
         for check, anchor, note in (

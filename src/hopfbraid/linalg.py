@@ -29,9 +29,9 @@ builds each shift permutation on first read.  ``_action_image`` is the
 one action routine: every module image (``on_element``, ``on_tensor``)
 and every braiding map (braidrep) is the matrix of a tensor element
 acting on a tensor product of modules.  ``apply_on_qudits`` places
-every gate on chosen qudits: on lifted IntegerMatrix columns for braid
-words, one batched product per letter, and on dense Matrix columns for
-``quantum.apply_gate``.  Its ``digit_offsets`` also lay out
+every gate on chosen qudits, on lifted IntegerMatrix operands only: one
+batched product per braid letter, and one per ``quantum.apply_gate``
+call.  Its ``digit_offsets`` also lay out
 ``quantum.schmidt_rank``.  ``_transform`` is the one change to the
 character basis: a product on each axis by a basis that MonomialOps has
 checked, for its diagonals and certificates; no transform runs on an
@@ -104,22 +104,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
-
-    def _gather(self, index) -> "Matrix":
-        """The matrix of index's shape whose entry (i, j) is this one's entry
-        at row-major position index[i, j]."""
-        entries = self.entries
-        return Matrix(*index.shape, [entries[k] for k in index.ravel().tolist()])
-
-    def _on_blocks(self, columns: "Matrix", count: int) -> "Matrix":
-        """(I_count (x) self (x) I_m) @ columns: self times each of count
-        stacked blocks of columns' rows, a block read row-major as a
-        self.cols-row matrix (apply_on_qudits)."""
-        step, entries = len(columns.entries) // count, columns.entries
-        out = []
-        for b in range(0, len(entries), step):
-            out += (self @ Matrix(self.cols, step // self.cols, entries[b:b + step])).entries
-        return Matrix(columns.rows, columns.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -233,9 +217,11 @@ def apply_on_qudits(gate, columns, d: int, n: int, positions):
     product: the gate times each of d^p stacked blocks of rows.  Other
     positions are gathered to the front first (rows laid out by
     digit_offsets) and gathered back after.  gate and columns are both
-    Matrix, where the blocks are dense products, so the result is the placed
-    gate's product scalar for scalar; or both IntegerMatrix, where it is one
-    integer-array product of batched matmuls (braid words)."""
+    IntegerMatrix, so each placement is one integer-array product of
+    batched matmuls; callers lift once and lower once (braid words,
+    quantum.apply_gate)."""
+    if not (isinstance(gate, IntegerMatrix) and isinstance(columns, IntegerMatrix)):
+        raise TypeError("apply_on_qudits takes IntegerMatrix operands")
     positions = tuple(positions)
     size, width, k = gate.cols, columns.cols, len(positions)
     if gate.rows != size or size != d ** k or columns.rows != d ** n:
@@ -668,13 +654,15 @@ class IntegerMatrix:
         return self.nums.shape[2]
 
     def _gather(self, index) -> "IntegerMatrix":
-        """As Matrix._gather: entry (i, j) is this one's at position index[i, j]."""
+        """The matrix of index's shape whose entry (i, j) is this one's entry
+        at row-major position index[i, j]."""
         return IntegerMatrix(self.order, self.nums.reshape(len(self.nums), -1)[:, index],
                              self.den)
 
     def _on_blocks(self, columns: "IntegerMatrix", count: int) -> "IntegerMatrix":
-        """As Matrix._on_blocks, in one product: each pair of power slots is a
-        batched matmul of self over the columns reshaped to (count, cols, -1)."""
+        """(I_count (x) self (x) I_m) @ columns in one product: each pair of
+        power slots is a batched matmul of self over the columns reshaped to
+        (count, self.cols, -1) (apply_on_qudits)."""
         shape, size = columns.nums.shape[1:], self.cols
         return self._combine(columns, lambda g, x: (g @ x.reshape(count, size, -1)).reshape(shape),
                              shape, size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braidrep import BraidedRMatrix, lift
-from .linalg import EXACT, Matrix, apply_on_qudits, digit_offsets, exact_rank
+from .linalg import EXACT, IntegerMatrix, Matrix, apply_on_qudits, digit_offsets, exact_rank
 from .scalar import CyclotomicNumber, as_scalar, rational, root_of_unity
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -121,16 +121,16 @@ def apply_gate(gate: Matrix, state: StateVector, targets=None) -> StateVector:
 
     ``targets`` lists the qudit positions in order of significance within
     the gate's composite index (first target = most significant digit);
-    by default the gate covers all qudits.
+    by default the gate covers all qudits.  The gate and the state are
+    lifted to IntegerMatrix once and the image lowered once, as in braid
+    words (linalg.apply_on_qudits refuses repeated or out-of-range
+    targets), so its amplitudes share one order and its zeros are rational(0).
     """
     d, n = state.d, state.n
-    if targets is None:
-        targets = tuple(range(n))
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets) or any(not 0 <= t < n for t in targets):
-        raise ValueError("targets must be distinct qudit positions in range")
-    image = apply_on_qudits(gate, Matrix(d ** n, 1, state.amps), d, n, targets)
-    return StateVector(d, n, image.entries)
+    targets = range(n) if targets is None else (int(t) for t in targets)
+    columns = IntegerMatrix.from_matrix(Matrix(d ** n, 1, state.amps))
+    image = apply_on_qudits(IntegerMatrix.from_matrix(gate), columns, d, n, targets)
+    return StateVector(d, n, image.to_matrix().entries)
 
 
 @dataclass(frozen=True)

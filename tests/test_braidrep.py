@@ -114,6 +114,10 @@ def test_far_commutation_is_exercised():
 def test_evaluate_braid_word_basics():
     r = braided_r(S2)
     assert evaluate_braid_word(BraidWord(2, ()), r) == Matrix.identity(4)
+    # the empty word checks the columns' shape, as every other word does
+    for letters in ((), (1,)):
+        with pytest.raises(ValueError, match="8 rows"):
+            evaluate_braid_word(BraidWord(3, letters), r, Matrix(2, 1, [1, 0]))
     assert evaluate_braid_word(BraidWord(2, (1, -1)), r) == Matrix.identity(4)
     lhs = evaluate_braid_word(BraidWord(3, (1, 2, 1)), r)
     rhs = evaluate_braid_word(BraidWord(3, (2, 1, 2)), r)

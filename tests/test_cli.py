@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopfbraid
-from hopfbraid import braidrep, cli, floatback, scalar
+from hopfbraid import braidrep, cli, floatback, linalg, scalar
 from hopfbraid.braidrep import (BraidedRMatrix, BraidWord, braid_generator, braided_r,
                                 check_braid_relations, evaluate_braid_word)
 from hopfbraid.cli import (CHOICES, MAX_FIELD_WORK, MAX_MATRIX_ENTRIES, MAX_TRANSFORM_CELLS,
@@ -342,6 +342,19 @@ def test_compare_gates_table(capsys):
     assert "1.000000" in lines["kl(1,-1,1,1)"]
     bell_line = next(line for line in out.splitlines() if line.startswith("bell-matrix"))
     assert "no" in bell_line  # not unitary at the recorded scale
+
+
+def test_compare_gates_braid_and_gen_r_make_no_dense_products(monkeypatch, tmp_path, capsys):
+    # they multiply on IntegerMatrix: dense Matrix products are left to the
+    # EXACT oracle and to check's proof obligation of the character basis
+    products = _counted(monkeypatch, Matrix, "__matmul__")
+    krons = _counted(monkeypatch, linalg, "kron")
+    for argv in (["compare-gates"],
+                 ["braid", "--orders", "2,2", "--strands", "3", "--word=1,2,-1", "--state",
+                  "031", "--output", str(tmp_path / "word.json")],
+                 ["gen-r", "--orders", "2,2", "--output", str(tmp_path / "gen")]):
+        assert run(capsys, *argv)[0] == 0, argv
+        assert (len(products), len(krons)) == (0, 0), argv
 
 
 def test_float_backend_smoke(capsys):

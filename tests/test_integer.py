@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_properties import _move_to_front
 
 from hopfbraid import floatback, linalg
 from hopfbraid.braidrep import (BraidedRMatrix, ModuleAction, braided_r, check_braid_relations,
@@ -104,14 +105,16 @@ def test_equality_matches_the_oracle(a, data):
 @given(st.data())
 def test_gate_on_qudits_matches_the_oracle(data):
     # apply_on_qudits on lifted operands, at adjacent, spread and reordered
-    # positions, against its dense Matrix form: the same values
+    # positions, against the permuted kron product: the same values
     d, n = data.draw(st.sampled_from(((2, 3), (3, 2), (2, 4))))
     positions = data.draw(st.permutations(range(n)).map(tuple))[:data.draw(st.integers(1, 2))]
     size = d ** len(positions)
     gate = data.draw(matrices(rows=size, cols=size))
     columns = data.draw(matrices(rows=d ** n))
     applied = linalg.apply_on_qudits(lifted(gate), lifted(columns), d, n, positions)
-    assert applied.to_matrix() == linalg.apply_on_qudits(gate, columns, d, n, positions)
+    p = _move_to_front(d, n, positions)
+    expected = p.transpose() @ kron(gate, Matrix.identity(d ** n // size)) @ p @ columns
+    assert applied.to_matrix() == expected
 
 
 def test_each_integer_type_is_reached_and_exact(monkeypatch):

@@ -24,8 +24,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfbraid.floatback import matrix_complex
-from hopfbraid.linalg import (EXACT, Matrix, SingularMatrixError, apply_on_qudits, exact_rank,
-                              invert_matrix, kron)
+from hopfbraid.linalg import (EXACT, IntegerMatrix, Matrix, SingularMatrixError, apply_on_qudits,
+                              exact_rank, invert_matrix, kron)
 from hopfbraid.quantum import StateVector, apply_gate, schmidt_rank
 from hopfbraid.scalar import CyclotomicNumber, cyclotomic_polynomial, rational, root_of_unity
 
@@ -444,11 +444,6 @@ def test_exact_inverse_matches_numpy_at_full_rank(a):
 # -- gates on chosen qudits ------------------------------------------------------
 
 
-def _stored(m: Matrix) -> list:
-    """Each entry as stored: its order, numerators and denominator."""
-    return [(e.order, e.nums, e.den) for e in m.entries]
-
-
 @st.composite
 def placements(draw):
     """A local dimension d, a qudit count n <= 4 and a random exact gate on
@@ -467,9 +462,11 @@ def placements(draw):
 def test_gate_on_an_adjacent_pair_is_the_kron_placed_product(case):
     d, n, i, gate, columns = case
     placed = kron(kron(Matrix.identity(d ** i), gate), Matrix.identity(d ** (n - i - 2)))
-    applied = apply_on_qudits(gate, columns, d, n, (i, i + 1))
-    # the same scalars, stored at the same orders as the dense product's
-    assert _stored(applied) == _stored(placed @ columns)
+    lift = IntegerMatrix.from_matrix
+    applied = apply_on_qudits(lift(gate), lift(columns), d, n, (i, i + 1))
+    assert applied == lift(placed @ columns)
+    # lowered once: every nonzero entry at one order
+    assert len({e.order for e in applied.to_matrix().entries if not e.is_zero}) <= 1
 
 
 def _move_to_front(d: int, n: int, targets) -> Matrix:

@@ -6,7 +6,8 @@ import pytest
 
 from hopfbraid.braidrep import BraidedRMatrix, braided_r, check_braided_ybe
 from hopfbraid.groupalg import GroupSpec
-from hopfbraid.linalg import Matrix, apply_on_qudits, conjugate_transpose, flip_operator
+from hopfbraid.linalg import (IntegerMatrix, Matrix, apply_on_qudits, conjugate_transpose,
+                              flip_operator)
 from hopfbraid.quantum import (
     BELL_KINDS,
     INV_SQRT2,
@@ -79,7 +80,21 @@ def test_apply_gate_on_reordered_targets():
     with pytest.raises(ValueError):
         apply_gate(gate, StateVector.computational(2, "000"), targets=(2, 2))
     with pytest.raises(ValueError, match="distinct"):
-        apply_on_qudits(gate, Matrix(8, 1, range(8)), 2, 3, (2, 2))
+        apply_on_qudits(IntegerMatrix.from_matrix(gate),
+                        IntegerMatrix.from_matrix(Matrix(8, 1, range(8))), 2, 3, (2, 2))
+    # dense operands are lifted by the caller, as apply_gate does
+    with pytest.raises(TypeError, match="IntegerMatrix"):
+        apply_on_qudits(gate, Matrix(8, 1, range(8)), 2, 3, (2, 0))
+
+
+def test_apply_gate_lowers_once():
+    # diag(1, zeta_4) on |0> + |1>: both amplitudes at order 4, the
+    # dense product's values
+    gate = Matrix.from_rows([[1, 0], [0, root_of_unity(4, 1)]])
+    state = StateVector(2, 1, [1, 1])
+    image = apply_gate(gate, state)
+    assert [a.order for a in image.amps] == [4, 4]
+    assert image.amps == (gate @ Matrix(2, 1, state.amps)).entries
 
 
 def test_braided_gate_bell_actions_exact():
