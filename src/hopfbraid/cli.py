@@ -199,7 +199,7 @@ def transform_cells(d: int, which: str, path: str, strands: int = 3,
     the source, monomial or float path is priced at d^4, an upper bound: it
     transforms two-leg elements (d^2 diagonal entries) and gathers d^3
     cells of at most phi(L) <= d integers each for R_ij and the coproducts
-    (hopf's float coproducts are three-leg FFTs of d^3 cells).  A
+    (hopf's float coproducts are such gathers too).  A
     matrix check on the source path holds weights of its monomial side
     (matrix_entries), each over the phi(order) powers of zeta of R's field
     (order defaults to d, the largest either form of R needs).  0 for every

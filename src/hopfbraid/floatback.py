@@ -3,17 +3,20 @@
 ``NumpyOps`` is the numpy side of the backend protocol that every checker
 is written against (see groupalg.ExactAlgebraOps).  A tensor element is
 lifted to the diagonal of its regular image in the character basis, taken
-by numpy's FFT, so tensor products are elementwise, and R_ij and
-coproducts are gathers of it (linalg's index arrays: the FFT's layout and
-sign are MonomialOps.tensor's); a matrix is lifted to
-a dense numpy complex matrix, and R' built from its source r is
-flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal and T the
-spec's numeric character matrix on two legs (braided_complex), so no
-exact matrix is built for it.  Every product and sum is taken in floating
-arithmetic, and equality is an absolute entrywise tolerance (1e-9 by
-default, the arrays stay small).  This is an independent numerical sanity
-path next to the exact backend, never a replacement for it: it shares no
-arithmetic with the exact character transform.
+by numpy's FFT over the factors of order above 1, so tensor products are
+elementwise.  Like MonomialOps it reads linalg's index layer: the lift
+places the terms by term_positions, R_ij and coproducts are gathers of the
+diagonal (the FFT's layout and sign are MonomialOps.tensor's), so the
+checkers lift no element of more than two legs, and R' built from its
+source r is flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal
+and T the spec's numeric character matrix on two legs, its rows gathered
+by flip_index (braided_complex), so no exact matrix is built for it.  Any
+other matrix is lifted to a dense numpy complex matrix.  Every product and
+sum is taken in floating arithmetic, and equality is an absolute
+entrywise tolerance (1e-9 by default, the arrays stay small).  This is an
+independent numerical sanity path next to the exact backend, never a
+replacement for it: it shares no arithmetic with the exact character
+transform.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupalg import GroupSpec, TensorElement
-from .linalg import Matrix, coproduct_gather, embedding_gather
+from .linalg import Matrix, coproduct_gather, embedding_gather, flip_index, term_positions
 
 DEFAULT_TOL = 1e-9
 
@@ -36,23 +39,30 @@ def braided_complex(r: TensorElement) -> np.ndarray:
     spec's character matrix (linalg.character_basis on each factor), here d
     times the inverse FFT of I's columns.  T^-1 = conj(T)^T / d^2."""
     spec, d = r.spec, r.spec.dimension
-    f = np.fft.ifftn(np.eye(d).reshape(spec.orders * 2), axes=range(len(spec.orders)))
-    t = np.kron(f.reshape(d, d), f.reshape(d, d)) * (d * d)
+    orders = _transformed(spec.orders)
+    f = np.fft.ifftn(np.eye(d).reshape(orders * 2), axes=range(len(orders))).reshape(d, d)
+    t = np.kron(f, f) * (d * d)
     gamma = (t * tensor_complex(spec, r)) @ t.conj().T / (d * d)
-    return gamma.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
+    return gamma[flip_index(d, d)]
 
 
 def tensor_complex(spec: GroupSpec, t: TensorElement) -> np.ndarray:
     """Diagonal of the regular image of a k-leg tensor element in the
     character basis, F^(-k) rho^(x)k(t) F^(k) with F as in
     linalg.character_basis: the FFT (sign -1) of the coefficient array with
-    one axis per cyclic factor of each leg, first leg most significant, the
-    layout of linalg.MonomialOps.tensor.  A 1-D array of length d^k."""
-    shape = spec.orders * t.legs
-    coeffs = np.zeros(shape, dtype=complex)
-    for key, c in t.terms.items():
-        coeffs[sum(key, ())] = c.to_complex()
-    return np.fft.fftn(coeffs).ravel()
+    one axis per cyclic factor of order above 1 of each leg, first leg most
+    significant, the layout of linalg.MonomialOps.tensor.  A 1-D array of
+    length d^k."""
+    cells, values = term_positions(t)
+    coeffs = np.zeros(spec.dimension ** t.legs, dtype=complex)
+    coeffs[cells] = [c.to_complex() for c in values]
+    return np.fft.fftn(coeffs.reshape(_transformed(spec.orders * t.legs))).ravel()
+
+
+def _transformed(orders) -> list[int]:
+    """The orders above 1: a length-1 axis transforms to itself, and numpy
+    holds at most 64 axes."""
+    return [n for n in orders if n > 1]
 
 
 class NumpyOps:

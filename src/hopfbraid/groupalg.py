@@ -255,6 +255,13 @@ def _embedding_positions(t: TensorElement, legs: int, positions) -> tuple[int, i
     return i, j
 
 
+def _checked_leg(t: TensorElement, leg: int) -> int:
+    """leg, checked to be one of t's legs."""
+    if not 0 <= leg < t.legs:
+        raise ValueError(f"leg {leg} is not one of the {t.legs} legs")
+    return leg
+
+
 def leg_embedding(t: TensorElement, legs: int, positions: tuple[int, int]) -> TensorElement:
     """Embed a two-leg element into a larger power, unit on the other legs."""
     i, j = _embedding_positions(t, legs, positions)
@@ -270,6 +277,7 @@ def leg_embedding(t: TensorElement, legs: int, positions: tuple[int, int]) -> Te
 
 def coproduct_on_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one leg, duplicating it in place."""
+    leg = _checked_leg(t, leg)
     return TensorElement(t.spec, t.legs + 1, _accumulate(
         (key[:leg] + (key[leg],) + key[leg:], c) for key, c in t.terms.items()))
 
@@ -278,6 +286,7 @@ def counit_on_leg(t: TensorElement, leg: int) -> TensorElement:
     """Contract one leg with the counit (every basis element counts 1)."""
     if t.legs < 2:
         raise ValueError("need at least two legs to contract one away")
+    leg = _checked_leg(t, leg)
     return TensorElement(t.spec, t.legs - 1, _accumulate(
         (key[:leg] + key[leg + 1:], c) for key, c in t.terms.items()))
 
@@ -443,8 +452,7 @@ def check_hopf_axioms(spec: GroupSpec, ops=EXACT_ALGEBRA) -> bool:
     for exps in spec.basis():
         x = AlgebraElement.basis(spec, exps)
         d = coproduct(x)
-        if not ops.equal(ops.tensor(coproduct_on_leg(d, 0)),
-                         ops.tensor(coproduct_on_leg(d, 1))):
+        if not ops.equal(ops.coproduct_on_leg(d, 0), ops.coproduct_on_leg(d, 1)):
             return False
         one_leg = leg(x)
         if not (ops.equal(ops.tensor(counit_on_leg(d, 0)), one_leg)

@@ -35,13 +35,15 @@ call.  Its ``digit_offsets`` also lay out
 ``quantum.schmidt_rank``.  ``_transform`` is the one change to the
 character basis: a product on each axis by a basis that MonomialOps has
 checked, for its diagonals and certificates; no transform runs on an
-unchecked basis.  ``embedding_gather`` and
-``coproduct_gather`` are the one index arithmetic on such diagonals: the
-R_ij and coproducts of MonomialOps and floatback.NumpyOps are gathers.
-``IntegerMatrix.from_entries`` is the one lift of values to integer terms
-over the powers of zeta_L, ``_reduce`` the one reduction of such vectors
-by the residue table and ``IntegerMatrix._combine`` the one product of
-integer arrays; the
+unchecked basis.  The index layer is the one arithmetic on the Kronecker
+layout: ``term_positions`` places the terms of a tensor element,
+``flip_index`` swaps two factors and ``addition_table`` is the group law
+(and the dual group's).  On it, ``embedding_gather`` and
+``coproduct_gather`` make the R_ij and coproducts of MonomialOps and
+floatback.NumpyOps gathers of a diagonal.  ``IntegerMatrix._lift`` is the
+one lift of values to integer terms over the powers of zeta_L, ``_reduce``
+the one reduction of such vectors by the residue table and
+``IntegerMatrix._combine`` the one product of integer arrays; the
 transform, IntegerMatrix and MonomialMatrix share them.
 ``scalar._row_reduce`` is the one elimination: inverse, rank and field
 descent all call it.  It takes the first nonzero pivot in each column;
@@ -59,7 +61,7 @@ from operator import add
 import numpy as np
 
 from .groupalg import (AlgebraElement, ExactAlgebraOps, GroupSpec, TensorElement,
-                       _accumulate, _embedding_positions, as_single_leg)
+                       _accumulate, _checked_leg, _embedding_positions, as_single_leg)
 from .scalar import (CyclotomicNumber, _canonical, _degree, _residues, _row_reduce, as_scalar,
                      rational, root_of_unity)
 
@@ -273,19 +275,13 @@ def cyclic_shift(order: int) -> Matrix:
 
 
 def flip_rows(m: Matrix, p: int, q: int) -> Matrix:
-    """flip_pair(p, q) @ m as a row permutation: row i*q + j of m becomes
-    row j*p + i.  Zero entries are written as rational(0), as the dense
-    product writes them."""
+    """flip_pair(p, q) @ m as a row gather by flip_index(p, q).  Zero
+    entries are written as rational(0), as the dense product writes them."""
     if m.rows != p * q:
         raise ValueError(f"flip of {p}x{q} factors needs {p * q} rows, not {m.rows}")
     zero, n = rational(0), m.cols
-    out = [zero] * (m.rows * n)
-    for i in range(p):
-        for j in range(q):
-            src = (i * q + j) * n
-            out[(j * p + i) * n:(j * p + i + 1) * n] = [
-                zero if e.is_zero else e for e in m.entries[src:src + n]]
-    return Matrix(m.rows, n, out)
+    return Matrix(m.rows, n, [zero if e.is_zero else e for src in flip_index(p, q).tolist()
+                              for e in m.entries[src * n:(src + 1) * n]])
 
 
 def flip_pair(p: int, q: int) -> Matrix:
@@ -443,7 +439,7 @@ class ExactOps(ExactAlgebraOps):
 EXACT = ExactOps()
 
 
-# -- the character basis --------------------------------------------------
+# -- the character basis and the index layer on its layout ---------------
 
 
 def character_basis(n: int) -> Matrix:
@@ -472,6 +468,36 @@ def check_character_basis(n: int, f: Matrix) -> bool:
     return first == Matrix(1, n, [n] + [0] * (n - 1))
 
 
+def term_positions(t: TensorElement):
+    """t's terms as (cells, values): their flat positions in t.legs copies of
+    the spec basis, first leg and factor most significant, each exponent mod
+    its order as ModuleAction.on_basis reads it (so terms on one cell add up)."""
+    orders, terms = t.spec.orders * t.legs, {}
+    for key, c in t.terms.items():
+        flat = 0
+        for e, n in zip(sum(key, ()), orders):
+            flat = flat * n + e % n
+        terms[flat] = terms[flat] + c if flat in terms else c
+    return np.fromiter(terms, np.intp, len(terms)), list(terms.values())
+
+
+def flip_index(p: int, q: int) -> np.ndarray:
+    """The swap of tensor factors of dimensions p and q as one index array:
+    entry j*p + i is i*q + j, so m's rows gathered by it are flip_pair(p, q) @ m."""
+    return np.arange(p * q).reshape(p, q).T.ravel()
+
+
+def addition_table(spec: GroupSpec) -> np.ndarray:
+    """law[a, b], the basis index of g^a g^b: digitwise addition mod n_i, the
+    first factor most significant.  Characters are indexed alike and chi_c
+    chi_c' = chi_(c+c'), so it is also the dual group's law."""
+    law = np.zeros((1, 1), dtype=np.intp)
+    for n in spec.orders:
+        a = np.arange(n)
+        law = (law[:, None, :, None] * n + (a[:, None, None] + a) % n).reshape(len(law) * n, -1)
+    return law
+
+
 def embedding_gather(t: TensorElement, legs: int, positions) -> np.ndarray:
     """The index array that takes the character-basis diagonal of a two-leg
     t to that of leg_embedding(t, legs, positions).  Every character is 1
@@ -488,16 +514,10 @@ def coproduct_gather(t: TensorElement, leg: int) -> np.ndarray:
     """The index array that takes the character-basis diagonal of t to that
     of coproduct_on_leg(t, leg).  A group-like g^a has chi_c(g^a) chi_c'(g^a)
     = chi_(c+c')(g^a), so entry (..., c, c', ...) of the coproduct is t's
-    entry (..., c + c', ...) under the dual group's law: digitwise mod n_i,
-    the first factor the most significant digit, as in the spec's basis."""
-    if not 0 <= leg < t.legs:
-        raise ValueError(f"leg {leg} is not one of the {t.legs} legs")
-    law = np.zeros((1, 1), dtype=np.intp)  # law[c, c'] = index of c + c'
-    for n in t.spec.orders:
-        a = np.arange(n)
-        law = (law[:, None, :, None] * n + (a[:, None, None] + a) % n).reshape(len(law) * n, -1)
+    entry (..., c + c', ...) under the dual group's law (addition_table)."""
+    leg = _checked_leg(t, leg)
     d = t.spec.dimension
-    return np.arange(d ** t.legs).reshape(d ** leg, d, -1)[:, law].ravel()
+    return np.arange(d ** t.legs).reshape(d ** leg, d, -1)[:, addition_table(t.spec)].ravel()
 
 
 def _transform(x: "IntegerMatrix", bases, scale: int = 1) -> "IntegerMatrix":
@@ -528,8 +548,9 @@ def _exact_dtype(bound: int, blas: bool = False):
 
 
 def _height(arr) -> int:
-    """The largest absolute entry of an integer array."""
-    return int(np.abs(arr).max()) if arr.size else 0
+    """The largest absolute entry of an integer array, read through the least
+    -|entry| so that the int64 abs of -2^63, which wraps to itself, counts."""
+    return -int((-np.abs(arr)).min()) if arr.size else 0
 
 
 def _int_array(values, top: int = 0):
@@ -600,22 +621,11 @@ class IntegerMatrix:
         return cls._lift(m.rows, m.cols, np.arange(len(m.entries)), m.entries)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "IntegerMatrix":
-        """The rows x cols matrix of (flat row-major index, value) pairs, one
-        pair per index at most; missing entries are 0.  Each value becomes
-        integer multiples of powers of zeta_L over one common denominator, L
-        the lcm of the orders of the nonzero values: the values of each order
-        are read into one numerator array, scaled to that denominator and
-        scattered to their powers of zeta_L by index arrays."""
-        pairs = list(entries)
-        return cls._lift(rows, cols, np.array([i for i, _ in pairs], dtype=np.intp),
-                         [v for _, v in pairs])
-
-    @classmethod
     def _lift(cls, rows: int, cols: int, cells, values) -> "IntegerMatrix":
-        """from_entries on an index array and the list of its values (no
-        pairs are made: a dense matrix's many tuples cost a garbage
-        collection pass)."""
+        """The rows x cols matrix with values[k] at flat index cells[k] (distinct
+        cells), 0 elsewhere: the values of each order are read into one
+        numerator array, scaled to one denominator and scattered to their
+        powers of zeta_L, L the lcm of the orders of the nonzero values."""
         dens = [v.den for v in values]
         den = lcm(*set(dens))  # a zero value is 0/1
         orders = [v.order for v in values]
@@ -906,7 +916,6 @@ class MonomialOps(ExactOps):
 
     def __init__(self, spec: GroupSpec):
         rep, orders = RegularRepresentation(spec), spec.orders
-        inverse = np.zeros(1, dtype=np.intp)  # spec index of each element's inverse
         for i, n in enumerate(orders):
             # the i-th generator shifts the i-th digit of the spec basis, so
             # F, the Kronecker product of the factors' bases, diagonalises it
@@ -919,9 +928,9 @@ class MonomialOps(ExactOps):
                                       f"fails its proof obligation")
             lift = IntegerMatrix.from_matrix(basis)
             f = lift if i == 0 else f.kron(lift)
-            inverse = (inverse[:, None] * n + -np.arange(n) % n).ravel()
         # the obligations fix F[j, c] = zeta^(j c), so conj(F[j, c]) = F[j, -c]:
         # conj(F)^T, the character table (d F^-1), is F^T with its rows permuted
+        inverse = (addition_table(spec) == 0).argmax(axis=1)  # law[c, -c] = 0
         transposed = f.nums.transpose(0, 2, 1)
         self._columns = IntegerMatrix(f.order, transposed, f.den)
         self._table = IntegerMatrix(f.order, transposed[:, inverse], f.den)
@@ -942,15 +951,8 @@ class MonomialOps(ExactOps):
         return self._cached(key, lambda: self._diagonal(t))
 
     def _diagonal(self, t: TensorElement) -> MonomialMatrix:
-        size, orders = self.dimension ** t.legs, self.spec.orders * t.legs
-        entries = []
-        for key, c in t.terms.items():
-            flat = 0
-            for e, n in zip(itertools.chain.from_iterable(key), orders):
-                flat = flat * n + e
-            entries.append((flat, c))
-        x = IntegerMatrix.from_entries(1, size, entries)
-        return MonomialMatrix(np.arange(size), _transform(x, [self._table] * t.legs))
+        x = IntegerMatrix._lift(1, self.dimension ** t.legs, *term_positions(t))
+        return MonomialMatrix(np.arange(x.cols), _transform(x, [self._table] * t.legs))
 
     def _gathered(self, t: TensorElement, index, perm=None) -> MonomialMatrix:
         """tensor(t)'s weights gathered by an index array, on the permutation
@@ -990,8 +992,7 @@ class MonomialOps(ExactOps):
         r = b.source
         if r is None or r.spec != self.spec:
             return self.matrix(b.matrix)
-        d = self.dimension
-        flip = np.arange(d * d).reshape(d, d).T.ravel()
+        flip = flip_index(self.dimension, self.dimension)
         return self._gathered(r, flip, flip)
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:

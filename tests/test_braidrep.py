@@ -267,10 +267,11 @@ def test_module_morphism_is_quasi_cocommutativity_and_invertibility(spec):
     reg = ModuleAction.regular(spec)
     for name, r in _braidings(spec):
         gate = braided_r(spec, r).matrix
+        invertible = EXACT.invertible(gate)  # a dense exact rank: 0.9 s per gate at d = 8
         assert check_module_morphism(gate, reg, reg, EXACT) == \
-            (check_quasi_cocommutative(spec, r) and EXACT.invertible(gate)), name
+            (check_quasi_cocommutative(spec, r) and invertible), name
         for ops in (MonomialOps(spec), NumpyOps()):
-            assert ops.invertible(ops.tensor(r)) == EXACT.invertible(gate), (name, ops)
+            assert ops.invertible(ops.tensor(r)) == invertible, (name, ops)
 
 
 def test_check_hexagon_regular_triples():

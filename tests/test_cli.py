@@ -906,6 +906,19 @@ def test_factor_limit_admits_64_factors(capsys):
     assert code == 0 and "0 fail" in out
 
 
+def test_float_backend_admits_64_factors(capsys):
+    # numpy holds at most 64 axes: only the factors of order above 1 are transformed
+    orders = ",".join(["1"] * 62 + ["2", "2"])
+    code, exact, _ = run(capsys, "check", "--orders", orders, "--which", "all", "--json")
+    assert code == 0
+    code, out, err = run(capsys, "check", "--orders", orders, "--which", "all",
+                         "--backend", "float", "--json")
+    assert (code, err) == (0, "")
+    statuses = [[(c["name"], c["status"]) for c in json.loads(report)["checks"]]
+                for report in (exact, out)]
+    assert statuses[0] == statuses[1] and len(statuses[0]) == 8
+
+
 def _sheared_identity(tmp_path, side) -> str:
     """The identity of the given side with entry (0, 1) set to 1: no monomial certificate."""
     sheared = Matrix.identity(side)

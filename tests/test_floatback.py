@@ -155,3 +155,21 @@ def test_tensor_complex_matches_the_exact_character_diagonal(form):
             exact = [w.to_complex() for w in mono.tensor(t).weights]
             assert np.max(np.abs(floatback.tensor_complex(spec, t) - exact)) < 1e-12, \
                 (spec, t.legs)
+
+
+def test_no_float_lift_has_more_than_two_legs(monkeypatch):
+    # coassociativity compares the protocol's gathers of D(x), and R_ij and
+    # the coproducts of r are gathers too: no three-leg FFT is taken
+    legs = []
+    lift = floatback.tensor_complex
+
+    def spy(spec, t):
+        legs.append(t.legs)
+        return lift(spec, t)
+
+    monkeypatch.setattr(floatback, "tensor_complex", spy)
+    for spec in (GroupSpec((6,)), GroupSpec((2, 3))):
+        ops, r = floatback.NumpyOps(), universal_r(spec)
+        assert check_hopf_axioms(spec, ops)
+        assert check_quasitriangular(spec, r, ops) and check_algebraic_ybe(spec, r, ops)
+    assert legs and max(legs) == 2

@@ -136,9 +136,16 @@ def test_each_integer_type_is_reached_and_exact(monkeypatch):
         assert product == lifted(a @ a)
 
 
+def test_the_most_negative_int64_numerator_is_multiplied_exactly():
+    # the int64 abs of -2^63 is -2^63: the height must not read it as negative
+    a, b = Matrix(1, 1, [-2 ** 63]), Matrix(1, 1, [3])
+    assert _same_arrays(lifted(a), _reference_lift(1, 1, enumerate(a.entries)))
+    assert (lifted(a) @ lifted(b)).to_matrix() == a @ b
+
+
 def _reference_lift(rows: int, cols: int, entries) -> IntegerMatrix:
-    """IntegerMatrix.from_entries as one Python loop over the nonzero
-    numerators: the reference for its vectorised lift."""
+    """IntegerMatrix._lift of (index, value) pairs as one Python loop over
+    the nonzero numerators: the reference for its vectorised lift."""
     entries = [(i, v) for i, v in entries if not v.is_zero]
     big = lcm(*(v.order for _, v in entries))
     den = lcm(*(v.den for _, v in entries))
@@ -171,7 +178,8 @@ def test_lift_matches_the_loop_reference(a, data):
     # sparse pairs in any order, some of them zeros of another order
     cells = data.draw(st.permutations(range(len(a.entries))))
     pairs = [(i, a.entries[i] if i % 2 else CyclotomicNumber(8, (0,) * 4)) for i in cells]
-    assert _same_arrays(IntegerMatrix.from_entries(a.rows, a.cols, pairs),
+    assert _same_arrays(IntegerMatrix._lift(a.rows, a.cols, np.array(cells, dtype=np.intp),
+                                            [v for _, v in pairs]),
                         _reference_lift(a.rows, a.cols, pairs))
 
 

@@ -223,7 +223,8 @@ def _transform(shape, signs, entries, scale: int = 1) -> list[CyclotomicNumber]:
     and F^T for sign +1, so out[c] is the sum of in[a] zeta^(sign a c)."""
     bases = [_checked(n)._table if sign < 0 else _checked(n)._columns
              for n, sign in zip(shape, signs)]
-    x = IntegerMatrix.from_entries(1, prod(shape), entries)
+    x = IntegerMatrix._lift(1, prod(shape), np.array([i for i, _ in entries], dtype=np.intp),
+                            [v for _, v in entries])
     return linalg._transform(x, bases, scale).to_matrix().entries
 
 
