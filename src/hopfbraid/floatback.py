@@ -1,19 +1,16 @@
 """Floating-point cross-check backend.
 
 ``NumpyOps`` is the numpy side of the backend protocol that every checker
-is written against (see groupalg.ExactAlgebraOps).  A tensor element is
-lifted to the diagonal of its regular image in the character basis, taken
-by numpy's FFT over the factors of order above 1, so tensor products are
-elementwise.  Like MonomialOps it reads linalg's index layer: the lift
-places the terms by term_positions, R_ij and coproducts are gathers of the
-diagonal (the FFT's layout and sign are MonomialOps.tensor's), so the
-checkers lift no element of more than two legs, and R' built from its
-source r is flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal
-and T the spec's numeric character matrix on two legs, its rows gathered
-by flip_index (braided_complex), so no exact matrix is built for it.  Any
-other matrix is lifted to a dense numpy complex matrix.  Every product and
-sum is taken in floating arithmetic, and equality is an absolute
-entrywise tolerance (1e-9 by default, the arrays stay small).  This is an
+is written against (see groupalg.ExactAlgebraOps).  Its tensor half is
+MonomialOps', linalg.DiagonalOps: each element is lifted once to the
+diagonal of its regular image in the character basis, here by numpy's FFT
+(tensor_complex, in MonomialOps' layout and sign), and R_ij and the
+coproducts are gathers of that lift.  R' built from its source r is
+flip . Gamma(R), Gamma(R) = T diag(D) T^-1 with D r's diagonal and T the
+spec's numeric character matrix on two legs (braided_complex); any other
+matrix is lifted to a dense numpy complex matrix.  Products and sums are
+taken in floating arithmetic, and equality is an absolute entrywise
+tolerance (1e-9 by default, the arrays stay small).  This is an
 independent numerical sanity path next to the exact backend, never a
 replacement for it: it shares no arithmetic with the exact character
 transform.
@@ -24,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupalg import GroupSpec, TensorElement
-from .linalg import Matrix, coproduct_gather, embedding_gather, flip_index, term_positions
+from .linalg import DiagonalOps, Matrix, flip_index, term_positions
 
 DEFAULT_TOL = 1e-9
 
@@ -65,14 +62,20 @@ def _transformed(orders) -> list[int]:
     return [n for n in orders if n > 1]
 
 
-class NumpyOps:
+class NumpyOps(DiagonalOps):
     """The numpy backend: lifts into complex arrays, compares within tol."""
 
     def __init__(self, tol: float = DEFAULT_TOL):
         self.tol = tol
+        self._cache: dict = {}
 
-    def tensor(self, t: TensorElement) -> np.ndarray:
-        return tensor_complex(t.spec, t)
+    def _diagonal(self, t: TensorElement) -> np.ndarray:
+        lift = tensor_complex(t.spec, t)
+        lift.flags.writeable = False  # every later lift of t is this array
+        return lift
+
+    def _take(self, lift: np.ndarray, index) -> np.ndarray:
+        return lift[index]
 
     def matrix(self, m: Matrix) -> np.ndarray:
         return matrix_complex(m)
@@ -81,12 +84,6 @@ class NumpyOps:
         """A braidrep.BraidedRMatrix: built from its source when it has one
         (braided_complex), so no exact matrix is built, else its matrix lifted."""
         return matrix_complex(b.matrix) if b.source is None else braided_complex(b.source)
-
-    def embed(self, t: TensorElement, legs: int, positions) -> np.ndarray:
-        return self.tensor(t)[embedding_gather(t, legs, positions)]
-
-    def coproduct_on_leg(self, t: TensorElement, leg: int) -> np.ndarray:
-        return self.tensor(t)[coproduct_gather(t, leg)]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
@@ -101,7 +98,7 @@ class NumpyOps:
         return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= self.tol)
 
     def invertible(self, m: np.ndarray) -> bool:
-        # the smallest singular value (|det| of a well-conditioned matrix can be far
-        # below tol); a lifted tensor is a diagonal, whose smallest is its least |entry|
+        # a square matrix's smallest singular value (|det| of a well-conditioned one can
+        # be far below tol); a lifted tensor is a diagonal, whose smallest is its least |entry|
         s = np.abs(m) if m.ndim == 1 else np.linalg.svd(m, compute_uv=False)
-        return bool(s.min() > self.tol)
+        return m.shape[0] == m.shape[-1] and bool(s.min() > self.tol)

@@ -362,9 +362,7 @@ class ExactAlgebraOps:
     * ``embed(t, legs, positions)`` and ``coproduct_on_leg(t, leg)`` take
       an unlifted t and return the lifted ``leg_embedding`` and
       ``coproduct_on_leg`` of it: here those maps themselves, on
-      MonomialOps and NumpyOps a gather of ``tensor(t)`` by an index array
-      (linalg.embedding_gather, linalg.coproduct_gather), so no element of
-      more legs than t is transformed;
+      MonomialOps and NumpyOps a gather of ``tensor(t)`` (linalg.DiagonalOps);
     * ``matrix(m)``, ``kron(a, b)``, ``identity(n)`` and ``invertible(m)``
       do the same for matrices (see linalg.ExactOps), and ``braided(b)``
       lifts a braidrep.BraidedRMatrix: from its source r on MonomialOps
@@ -374,10 +372,10 @@ class ExactAlgebraOps:
     ``+`` and ``@`` are used directly on lifted objects.  Here lifting is
     the identity, products are taken in the tensor-power algebra (one
     scalar product per pair of terms) and equality is exact; this is the
-    oracle.  floatback.NumpyOps and linalg.MonomialOps both lift a tensor
-    into the diagonal of its regular image in the character basis, where
-    products are pointwise: NumpyOps by numpy's FFT in complex floats,
-    MonomialOps by an exact character transform.
+    oracle.  floatback.NumpyOps and linalg.MonomialOps share another tensor
+    half, linalg.DiagonalOps: each lifts a tensor once into the diagonal of
+    its regular image in the character basis, where products are pointwise,
+    NumpyOps by numpy's FFT, MonomialOps by an exact character transform.
     linalg.IntegerOps keeps this tensor half and lifts matrices to integer
     arrays.
     """

@@ -38,11 +38,12 @@ checked, for its diagonals and certificates; no transform runs on an
 unchecked basis.  The index layer is the one arithmetic on the Kronecker
 layout: ``term_positions`` places the terms of a tensor element,
 ``flip_index`` swaps two factors and ``addition_table`` is the group law
-(and the dual group's).  On it, ``embedding_gather`` and
-``coproduct_gather`` make the R_ij and coproducts of MonomialOps and
-floatback.NumpyOps gathers of a diagonal.  ``IntegerMatrix._lift`` is the
-one lift of values to integer terms over the powers of zeta_L, ``_reduce``
-the one reduction of such vectors by the residue table and
+(and the dual group's).  On it, ``DiagonalOps``, the one tensor half of
+MonomialOps and floatback.NumpyOps, lifts each element once and gathers
+R_ij and the coproducts from that lift (``embedding_gather``,
+``coproduct_gather``).  ``IntegerMatrix._lift`` is the one lift of
+values to integer terms over the powers of zeta_L, ``_reduce`` the one
+reduction of such vectors by the residue table and
 ``IntegerMatrix._combine`` the one product of integer arrays; the
 transform, IntegerMatrix and MonomialMatrix share them.
 ``scalar._row_reduce`` is the one elimination: inverse, rank and field
@@ -487,14 +488,16 @@ def flip_index(p: int, q: int) -> np.ndarray:
     return np.arange(p * q).reshape(p, q).T.ravel()
 
 
+@lru_cache(maxsize=None)
 def addition_table(spec: GroupSpec) -> np.ndarray:
     """law[a, b], the basis index of g^a g^b: digitwise addition mod n_i, the
     first factor most significant.  Characters are indexed alike and chi_c
-    chi_c' = chi_(c+c'), so it is also the dual group's law."""
+    chi_c' = chi_(c+c'), so it is also the dual group's law.  Read-only: one per spec."""
     law = np.zeros((1, 1), dtype=np.intp)
     for n in spec.orders:
         a = np.arange(n)
         law = (law[:, None, :, None] * n + (a[:, None, None] + a) % n).reshape(len(law) * n, -1)
+    law.flags.writeable = False
     return law
 
 
@@ -518,6 +521,33 @@ def coproduct_gather(t: TensorElement, leg: int) -> np.ndarray:
     leg = _checked_leg(t, leg)
     d = t.spec.dimension
     return np.arange(d ** t.legs).reshape(d ** leg, d, -1)[:, addition_table(t.spec)].ravel()
+
+
+class DiagonalOps:
+    """The tensor half of MonomialOps and floatback.NumpyOps.  ``tensor``
+    lifts t once per instance (keyed on its spec, legs and exact terms) to
+    the diagonal of its regular image in the character basis; ``embed`` and
+    ``coproduct_on_leg`` gather that lift.  A subclass makes the dict
+    ``_cache`` and supplies the lift ``_diagonal(t)``, its gather
+    ``_take(lift, index)``, ``mul`` and the matrix half."""
+
+    def _cached(self, key, make):
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
+    def tensor(self, t: TensorElement):
+        key = (t.spec, t.legs, tuple((k, c.order, c.nums, c.den) for k, c in t.terms.items()))
+        return self._cached(key, lambda: self._diagonal(t))
+
+    def embed(self, t: TensorElement, legs: int, positions):
+        return self._take(self.tensor(t), embedding_gather(t, legs, positions))
+
+    def coproduct_on_leg(self, t: TensorElement, leg: int):
+        return self._take(self.tensor(t), coproduct_gather(t, leg))
+
+    def equal(self, a, b) -> bool:
+        return a == b
 
 
 def _transform(x: "IntegerMatrix", bases, scale: int = 1) -> "IntegerMatrix":
@@ -884,7 +914,7 @@ class MonomialMatrix:
     __hash__ = None
 
 
-class MonomialOps(ExactOps):
+class MonomialOps(DiagonalOps):
     """Exact backend on monomial matrices in the character basis of a spec.
 
     The character basis of the regular module is the Kronecker product F of
@@ -895,24 +925,19 @@ class MonomialOps(ExactOps):
     (``check_character_basis``), and builds F as the IntegerMatrix
     Kronecker product of the checked bases' lifts.  Every transform below
     is a product by F^T or conj(F)^T on each leg (``_transform``), so no
-    scalar is made.  ``tensor`` takes a k-leg element t to the diagonal of
-    F^(-k) rho^(x)k(t) F^(k), its coefficients multiplied by conj(F)^T on
-    every leg.  ``embed`` and ``coproduct_on_leg`` transform no element of
-    more legs: they gather ``tensor(t)``'s weights (embedding_gather,
-    coproduct_gather).  ``mul`` of two diagonals is then a pointwise
-    product of integer arrays.  ``matrix`` takes a d^k x d^k
-    matrix m (k <= 2) to F^(-k) m F^(k), m multiplied by conj(F)^T / d on
-    each row leg and by F^T on each column leg, and raises NotMonomialError
-    unless that product (the certificate) is monomial.  ``braided`` takes a
-    braided matrix with a source r over this spec straight to the flip
-    permutation times ``tensor(r)``, so R' needs no dense matrix and no
-    certificate; the certificate remains for matrices without a source,
-    such as an imported R'.  Conjugation by the
-    invertible F^(k) is an algebra isomorphism that respects Kronecker
-    products, identities and equality, and the regular representation is
-    faithful, so every verdict equals the dense one.  Transforms are cached
-    per instance, keyed on the exact coefficients.
-    """
+    scalar is made.  The lift of a k-leg element t (DiagonalOps) is the
+    diagonal of F^(-k) rho^(x)k(t) F^(k), t's coefficients multiplied by
+    conj(F)^T on every leg, and ``mul`` of two diagonals is a pointwise
+    product of integer arrays.  ``matrix`` takes a d^k x d^k matrix m
+    (k <= 2) to F^(-k) m F^(k), m multiplied by conj(F)^T / d on each row
+    leg and by F^T on each column leg, cached like the lifts, and raises
+    NotMonomialError unless that product (the certificate) is monomial.
+    ``braided`` takes R' with a source r over this spec straight to the
+    flip permutation times ``tensor(r)``, with no dense matrix and no
+    certificate.  Conjugation by the invertible F^(k) is an algebra
+    isomorphism that respects Kronecker products, identities and equality,
+    and the regular representation is faithful, so every verdict equals
+    the dense one."""
 
     def __init__(self, spec: GroupSpec):
         rep, orders = RegularRepresentation(spec), spec.orders
@@ -938,34 +963,14 @@ class MonomialOps(ExactOps):
         self.dimension = spec.dimension
         self._cache: dict = {}
 
-    def _cached(self, key, make):
-        found = self._cache.get(key)
-        if found is None:
-            found = self._cache[key] = make()
-        return found
-
-    def tensor(self, t: TensorElement) -> MonomialMatrix:
+    def _diagonal(self, t: TensorElement) -> MonomialMatrix:
         if t.spec != self.spec:
             raise ValueError("group spec mismatch")
-        key = ("tensor", t.legs, tuple((k, c.order, c.nums, c.den) for k, c in t.terms.items()))
-        return self._cached(key, lambda: self._diagonal(t))
-
-    def _diagonal(self, t: TensorElement) -> MonomialMatrix:
         x = IntegerMatrix._lift(1, self.dimension ** t.legs, *term_positions(t))
         return MonomialMatrix(np.arange(x.cols), _transform(x, [self._table] * t.legs))
 
-    def _gathered(self, t: TensorElement, index, perm=None) -> MonomialMatrix:
-        """tensor(t)'s weights gathered by an index array, on the permutation
-        perm (by default none: a diagonal)."""
-        w = self.tensor(t)._weights
-        return MonomialMatrix(np.arange(len(index)) if perm is None else perm,
-                              IntegerMatrix(w.order, w.nums[:, :, index], w.den))
-
-    def embed(self, t: TensorElement, legs: int, positions) -> MonomialMatrix:
-        return self._gathered(t, embedding_gather(t, legs, positions))
-
-    def coproduct_on_leg(self, t: TensorElement, leg: int) -> MonomialMatrix:
-        return self._gathered(t, coproduct_gather(t, leg))
+    def _take(self, lift: MonomialMatrix, index) -> MonomialMatrix:
+        return MonomialMatrix(np.arange(len(index)), lift._weights._gather(index[None]))
 
     def mul(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a @ b
@@ -993,7 +998,7 @@ class MonomialOps(ExactOps):
         if r is None or r.spec != self.spec:
             return self.matrix(b.matrix)
         flip = flip_index(self.dimension, self.dimension)
-        return self._gathered(r, flip, flip)
+        return MonomialMatrix(flip, self.tensor(r)._weights._gather(flip[None]))
 
     def kron(self, a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         return a.kron(b)

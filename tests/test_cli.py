@@ -1133,6 +1133,18 @@ def test_float_check_builds_the_spec_r_prime_once_per_reader(monkeypatch, capsys
     assert len(made) == builds
 
 
+@pytest.mark.parametrize("which, lifts", [("all", 15), ("hopf", 13)])
+def test_float_check_lifts_each_element_once(monkeypatch, capsys, which, lifts):
+    # the command's one NumpyOps keeps its lifts: under all, 14 distinct
+    # elements, and braided_complex's own FFT of r for R'
+    made, lift = [], floatback.tensor_complex
+    monkeypatch.setattr(floatback, "tensor_complex",
+                        lambda spec, t: made.append(t) or lift(spec, t))
+    code, out, _ = run(capsys, "check", "--orders", "6", "--which", which, "--backend", "float")
+    assert code == 0 and " 0 fail" in out
+    assert len(made) == lifts
+
+
 def test_a_command_keeps_no_backend_alive(monkeypatch, capsys):
     # a verdict cache that refers back to the command's inputs keeps each
     # MonomialOps, and its transforms, alive until a garbage collection pass

@@ -173,3 +173,24 @@ def test_no_float_lift_has_more_than_two_legs(monkeypatch):
         assert check_hopf_axioms(spec, ops)
         assert check_quasitriangular(spec, r, ops) and check_algebraic_ybe(spec, r, ops)
     assert legs and max(legs) == 2
+
+
+def test_lifts_are_kept_per_spec_and_read_only():
+    # g over Z/2 and over Z/4 have equal term dicts, so the key holds the spec
+    ops = floatback.NumpyOps()
+    for n in (2, 4, 2):
+        spec = GroupSpec((n,))
+        g = TensorElement.from_terms(spec, 1, [(((1,),), 1)])
+        lifted = ops.tensor(g)
+        assert lifted.shape == (n,) and np.array_equal(lifted, floatback.tensor_complex(spec, g))
+        assert ops.tensor(g) is lifted and not lifted.flags.writeable
+
+
+def test_invertible_refuses_a_non_square_matrix():
+    wide = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
+    assert not FLOAT.invertible(wide) and not FLOAT.invertible(wide.T)
+    assert not EXACT.invertible(Matrix.from_rows(wide.real.astype(int).tolist()))
+    # a square matrix and a lifted diagonal keep their rules
+    assert FLOAT.invertible(np.eye(3, dtype=complex))
+    assert FLOAT.invertible(np.ones(3, dtype=complex))
+    assert not FLOAT.invertible(np.array([1, 0, 1], dtype=complex))

@@ -103,6 +103,11 @@ def test_addition_table_is_the_group_law(spec):
                for a in basis for b in basis)
 
 
+def test_addition_table_is_built_once_per_spec():
+    law = addition_table(GroupSpec((2, 3)))
+    assert addition_table(GroupSpec((2, 3))) is law and not law.flags.writeable
+
+
 def test_flip_index_swaps_the_factors():
     for p, q in ((1, 1), (1, 3), (2, 3), (3, 2), (4, 4)):
         assert flip_index(p, q).tolist() == [i * q + j for j in range(q) for i in range(p)]

@@ -339,6 +339,15 @@ def test_conversions_are_cached_per_instance():
     assert ops.matrix(braided_r(spec, r).matrix) is ops.matrix(braiding_map(reg, reg, r))
 
 
+def test_an_element_over_another_spec_is_refused():
+    ops, spec = MonomialOps(GroupSpec((2,))), GroupSpec((4,))
+    g, r = TensorElement.from_terms(spec, 1, [(((1,),), 1)]), universal_r(spec)
+    for lift in (lambda: ops.tensor(g), lambda: ops.coproduct_on_leg(g, 0),
+                 lambda: ops.embed(r, 3, (0, 2))):
+        with pytest.raises(ValueError, match="group spec mismatch"):
+            lift()
+
+
 # -- random inputs -----------------------------------------------------------
 
 
