@@ -30,16 +30,20 @@ def matrix_complex(m: Matrix) -> np.ndarray:
     return np.array(m.to_complex(), dtype=complex)
 
 
-def braided_complex(r: TensorElement) -> np.ndarray:
+def braided_complex(r: TensorElement, diagonal: np.ndarray | None = None) -> np.ndarray:
     """flip . Gamma(R) for a two-leg element r, as a dense complex matrix:
     Gamma(R) = T diag(D) T^-1, D = tensor_complex(r), T = F (x) F and F the
     spec's character matrix (linalg.character_basis on each factor), here d
-    times the inverse FFT of I's columns.  T^-1 = conj(T)^T / d^2."""
+    times the inverse FFT of I's columns.  T^-1 = conj(T)^T / d^2.  A caller
+    that holds r's lift already passes it as diagonal, and no FFT of r is
+    taken."""
     spec, d = r.spec, r.spec.dimension
     orders = _transformed(spec.orders)
     f = np.fft.ifftn(np.eye(d).reshape(orders * 2), axes=range(len(orders))).reshape(d, d)
     t = np.kron(f, f) * (d * d)
-    gamma = (t * tensor_complex(spec, r)) @ t.conj().T / (d * d)
+    if diagonal is None:
+        diagonal = tensor_complex(spec, r)
+    gamma = (t * diagonal) @ t.conj().T / (d * d)
     return gamma[flip_index(d, d)]
 
 
@@ -82,8 +86,11 @@ class NumpyOps(DiagonalOps):
 
     def braided(self, b) -> np.ndarray:
         """A braidrep.BraidedRMatrix: built from its source when it has one
-        (braided_complex), so no exact matrix is built, else its matrix lifted."""
-        return matrix_complex(b.matrix) if b.source is None else braided_complex(b.source)
+        (braided_complex, on the source's cached lift), so no exact matrix is
+        built, else its matrix lifted."""
+        if b.source is None:
+            return matrix_complex(b.matrix)
+        return braided_complex(b.source, diagonal=self.tensor(b.source))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b

@@ -1120,9 +1120,9 @@ def test_float_check_builds_the_spec_r_prime_once_per_reader(monkeypatch, capsys
     # d = 2, bell-actions lift R'; the module morphism built it once more
     made, build = [], floatback.braided_complex
 
-    def counted(r):
+    def counted(r, **kw):
         made.append(r)
-        return build(r)
+        return build(r, **kw)
 
     for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "hopfbraid"]:
         if getattr(module, "braided_complex", None) is build:
@@ -1133,16 +1133,27 @@ def test_float_check_builds_the_spec_r_prime_once_per_reader(monkeypatch, capsys
     assert len(made) == builds
 
 
-@pytest.mark.parametrize("which, lifts", [("all", 15), ("hopf", 13)])
+@pytest.mark.parametrize("which, lifts", [("all", 14), ("hopf", 13), ("quasitriangular", 2)])
 def test_float_check_lifts_each_element_once(monkeypatch, capsys, which, lifts):
-    # the command's one NumpyOps keeps its lifts: under all, 14 distinct
-    # elements, and braided_complex's own FFT of r for R'
+    # the command's one NumpyOps keeps its lifts, and R' is built on r's:
+    # under all, 14 distinct elements; under quasitriangular, r and D(g)
     made, lift = [], floatback.tensor_complex
     monkeypatch.setattr(floatback, "tensor_complex",
                         lambda spec, t: made.append(t) or lift(spec, t))
     code, out, _ = run(capsys, "check", "--orders", "6", "--which", which, "--backend", "float")
     assert code == 0 and " 0 fail" in out
     assert len(made) == lifts
+
+
+@pytest.mark.parametrize("orders, lifts", [("12", 2), ("2,6", 3), ("2,2,3", 4)])
+def test_quasitriangular_lifts_r_and_each_generator_coproduct(monkeypatch, capsys, orders,
+                                                              lifts):
+    # quasi-cocommutativity is decided on the k generators g_i, and D(g_i) and
+    # Dop(g_i) have one lift; the coproduct identities gather r's
+    calls = _counted(monkeypatch, MonomialOps, "_diagonal")
+    code, out, _ = run(capsys, "check", "--orders", orders, "--which", "quasitriangular")
+    assert code == 0 and " 0 fail" in out
+    assert len(calls) == lifts
 
 
 def test_a_command_keeps_no_backend_alive(monkeypatch, capsys):

@@ -70,6 +70,12 @@ CASES = {
     "check_12_ybe.txt": ["check", "--orders", "12", "--which", "ybe"],
     "check_12_quasitriangular.json": ["check", "--orders", "12", "--which",
                                       "quasitriangular", "--json"],
+    # an order-1 factor, whose generator reduces to the identity
+    "check_1x2_quasitriangular.json": ["check", "--orders", "1,2", "--which",
+                                       "quasitriangular", "--json"],
+    # module-morphism reads the quasi-cocommutativity verdict on three generators
+    "check_223_hexagon.json": ["check", "--orders", "2,2,3", "--which", "hexagon",
+                               "--json"],
     "check_223_ybe.json": ["check", "--orders", "2,2,3", "--which", "ybe", "--json"],
     "check_26_ybe_fused.json": ["check", "--orders", "2,6", "--which", "ybe", "--form",
                                 "fused", "--json"],
